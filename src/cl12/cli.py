@@ -5,8 +5,8 @@ literals follow ``term (('+'|'-') term)*`` with ``term`` a decimal
 coefficient, a basis symbol e0..e7, or both (``2.5 e3``); a JSON array of
 eight numbers is accepted as well.  ``2e3`` denotes 2 * e3; scientific
 notation needs a signed exponent (``1e-9``).  ``eval`` additionally
-supports ``*``, parentheses and the unary functions conj(), prime(),
-cre(), cim(), inv() and pinv().
+supports ``*`` (binding tighter than ``+`` and ``-``), parentheses and
+the unary functions conj(), prime(), cre(), cim(), inv() and pinv().
 
 Exit codes: 0 success, 1 domain error (singular input to inv(),
 unsolvable system under --strict, failed verification), 2 parse or usage
@@ -109,11 +109,18 @@ class _Parser:
         return value
 
     def _expr(self) -> Multivector:
-        value = self._factor()
-        while self._peek()[0] in "+-*":
+        value = self._term()
+        while self._peek()[0] in "+-":
             op = self._next()[0]
-            rhs = self._factor()
-            value = value + rhs if op == "+" else value - rhs if op == "-" else value * rhs
+            rhs = self._term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def _term(self) -> Multivector:
+        value = self._factor()
+        while self._peek()[0] == "*":
+            self._next()
+            value = value * self._factor()
         return value
 
     def _factor(self) -> Multivector:
@@ -213,7 +220,7 @@ def _print_matrix(m) -> None:
 
 
 def _cmd_eval(args) -> int:
-    result = _Parser(args.expr, args.tol).parse()
+    result = parse_multivector(args.expr, args.tol)
     if args.json:
         print(json.dumps(_mv_json(result)))
         return 0

@@ -2,9 +2,13 @@
 
 ``left_matrix(a)`` is the matrix L(a) with vec(a*x) = L(a) @ vec(x);
 ``right_matrix(a)`` is R(a) with vec(x*a) = R(a) @ vec(x).  Both are
-assembled from the blade multiplication table, and the closed-form row
-pattern (`_left_matrix_explicit`) is kept as an independent transcription
-that the tests compare against the generated one.
+assembled from the blade multiplication table: the eight basis matrices
+L(e_i) (or R(e_i)) are built once at import and flattened into one
+(8, 64) array, so L(a) is the single product vec(a) @ that array,
+reshaped to 8x8.  Every entry is one signed coefficient of a plus exact
+zeros, so no rounding depends on the summation order.  The closed-form
+row pattern (`_left_matrix_explicit`) is kept as an independent
+transcription that the tests compare against the generated one.
 
 Structural facts used throughout the package:
 
@@ -55,7 +59,8 @@ def _basis_matrices() -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-_LEFT_BASIS, _RIGHT_BASIS = _basis_matrices()
+# Row i of _LEFT_FLAT is L(e_i) read row by row; likewise for R.
+_LEFT_FLAT, _RIGHT_FLAT = (m.reshape(8, 64) for m in _basis_matrices())
 
 
 def vectorize(a: Multivector) -> np.ndarray:
@@ -72,12 +77,12 @@ def devectorize(v) -> Multivector:
 
 def left_matrix(a: Multivector) -> np.ndarray:
     """Matrix of x -> a*x acting on coefficient vectors."""
-    return np.tensordot(vectorize(a), _LEFT_BASIS, axes=1)
+    return (vectorize(a) @ _LEFT_FLAT).reshape(8, 8)
 
 
 def right_matrix(a: Multivector) -> np.ndarray:
     """Matrix of x -> x*a acting on coefficient vectors."""
-    return np.tensordot(vectorize(a), _RIGHT_BASIS, axes=1)
+    return (vectorize(a) @ _RIGHT_FLAT).reshape(8, 8)
 
 
 def _left_matrix_explicit(a: Multivector) -> np.ndarray:

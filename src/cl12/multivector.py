@@ -13,6 +13,17 @@ Both sign and index are kept in explicit tables (``MUL_SIGN``,
 ``MUL_INDEX``); the test suite re-derives them from the generator rules so
 a transcription slip cannot survive unnoticed.
 
+The product kernel ``_mul_coeffs`` is generated from those two tables at
+import time as one straight-line function: coefficient k is ``0.0`` plus
+the signed terms a_i*b_j landing on blade k, in ascending i.  That is the
+summation order of the plain double loop over the table.  The terms the
+loop skips for a zero factor are +-0.0 here (inputs are finite); under
+round-to-nearest a running sum that starts at +0.0 is never -0.0, and
+adding +-0.0 to it changes nothing.  So the generated product rounds
+exactly like the loop, sign of zero included, and never holds -0.0: its
+result skips the constructor's normalization and is only checked for
+finiteness.
+
 Scalars are double precision floats.  All operations on integer
 coefficients of desk scale are exact; :mod:`cl12.oracle` mirrors the
 closed forms over exact rationals for independent verification.
@@ -22,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "DEFAULT_TOL",
@@ -90,19 +101,29 @@ class Functionals:
     K: float
 
 
-def _mul_coeffs(a: Sequence[float], b: Sequence[float]) -> list[float]:
-    out = [0.0] * 8
+def _generate_mul_coeffs():
+    # Term order matters: i ascending after a leading 0.0, as the module
+    # docstring explains.
+    terms: list[list[str]] = [[] for _ in range(8)]
     for i in range(8):
-        ai = a[i]
-        if ai == 0.0:
-            continue
-        signs = MUL_SIGN[i]
-        index = MUL_INDEX[i]
         for j in range(8):
-            bj = b[j]
-            if bj != 0.0:
-                out[index[j]] += signs[j] * ai * bj
-    return out
+            sign = "+" if MUL_SIGN[i][j] > 0 else "-"
+            terms[MUL_INDEX[i][j]].append(f" {sign} a{i}*b{j}")
+    source = (
+        "def _mul_coeffs(a, b):\n"
+        f"    {', '.join(f'a{i}' for i in range(8))} = a\n"
+        f"    {', '.join(f'b{j}' for j in range(8))} = b\n"
+        "    return (\n"
+        + "".join(f"        0.0{''.join(t)},\n" for t in terms)
+        + "    )\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, "<cl12.multivector._mul_coeffs>", "exec"), namespace)
+    return namespace["_mul_coeffs"]
+
+
+#: _mul_coeffs(a, b) -> the eight coefficients of a*b as a tuple of floats.
+_mul_coeffs = _generate_mul_coeffs()
 
 
 class Multivector:
@@ -122,6 +143,16 @@ class Multivector:
         if not all(math.isfinite(x) for x in c):
             raise ValueError(f"coefficients must be finite, got {c}")
         object.__setattr__(self, "_c", c)
+
+    @classmethod
+    def _from_floats(cls, c: tuple[float, ...]) -> "Multivector":
+        # For eight floats that hold no -0.0 already; only finiteness is
+        # left to check (a product can overflow).
+        if not all(map(math.isfinite, c)):
+            raise ValueError(f"coefficients must be finite, got {c}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "_c", c)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Multivector is immutable")
@@ -168,7 +199,7 @@ class Multivector:
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
-            return Multivector(_mul_coeffs(self._c, other._c))
+            return Multivector._from_floats(_mul_coeffs(self._c, other._c))
         if isinstance(other, (int, float)):
             return Multivector(x * other for x in self._c)
         return NotImplemented

@@ -16,6 +16,7 @@ braces.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -86,6 +87,14 @@ def witness_candidates(a: Multivector, b: Multivector) -> list[Multivector]:
     return [cb * e + e * ca for e in BASIS]
 
 
+def _random_factors(seed: int):
+    # A generator, so the seeded stream is only set up when the basis
+    # candidates run out.
+    rng = random.Random(seed)
+    for _ in range(64):
+        yield Multivector([rng.randint(-3, 3) for _ in range(8)])
+
+
 def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL,
                seed: int = 0) -> SimilarityResult:
     """Decide similarity and build an invertible witness q with q*a = b*q.
@@ -122,18 +131,14 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL,
     if all(abs(x - y) <= lin for x, y in zip(ca.coeffs, cb.coeffs)):
         witness = Multivector.basis(0)
     else:
+        # The candidates of witness_candidates, formed one at a time and in
+        # the same order, then random p; the scan stops at the first
+        # invertible one, so the random draws are rarely made.
         witness = None
-        for cand in witness_candidates(a, b):
+        for p in itertools.chain(BASIS, _random_factors(seed)):
+            cand = cb * p + p * ca
             if not cand.is_singular(tol):
                 witness = cand
                 break
-        if witness is None:
-            rng = random.Random(seed)
-            for _ in range(64):
-                p = Multivector([rng.randint(-3, 3) for _ in range(8)])
-                cand = cb * p + p * ca
-                if not cand.is_singular(tol):
-                    witness = cand
-                    break
         assert witness is not None, "no invertible witness found for matching invariants"
     return SimilarityResult(True, witness, SimilarityReason.INVARIANTS_MATCH)

@@ -6,9 +6,16 @@ solution is p*d*q, and the full solution set is
 
     p*d*q + { y - (p*a)*y*(b*q) : y in Cl(1,2) },
 
-the second summand being the image of an idempotent map whose matrix is
-the orthogonal projector onto the kernel of L(a) @ R(b).  When a and b
-are both invertible the projector vanishes and the particular solution is
+the second summand being the range of the map with matrix
+
+    M = I - L(p*a) @ R(b*q).
+
+Both p*a and b*q are fixed by the prime involution, so L(p*a) and R(b*q)
+are commuting symmetric idempotents and M is the orthogonal projector onto
+the kernel of L(a) @ R(b).  Its eigenvalues are 0 and 1, so the
+eigenvectors of ``np.linalg.eigh(M)`` with eigenvalue above 1/2 are an
+orthonormal basis of the homogeneous solutions.  When a and b are both
+invertible M vanishes, nothing is built, and the particular solution is
 the unique one.
 """
 
@@ -18,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inverse import mp_inverse
-from .matrep import devectorize, vectorize
-from .multivector import BASIS, DEFAULT_TOL, Multivector
+from .inverse import MPKind, mp_inverse
+from .matrep import devectorize, left_matrix, right_matrix
+from .multivector import DEFAULT_TOL, Multivector
 
 __all__ = ["SolutionSet", "solve_axb", "solve_ax", "solve_xb"]
 
@@ -44,40 +51,20 @@ class SolutionSet:
     residual: float = 0.0
 
 
-def _orthonormal_image(images: list[Multivector], tol: float) -> list[Multivector]:
-    # Rank-revealing modified Gram-Schmidt with column pivoting; drop
-    # threshold is relative to the largest starting column as long as any
-    # column rises above the absolute noise floor.
-    m = np.column_stack([vectorize(x) for x in images])
-    largest = float(np.linalg.norm(m, axis=0).max())
-    if largest <= tol:
-        return []
-    drop = tol * largest
-    out: list[Multivector] = []
-    work = m.copy()
-    for _ in range(8):
-        norms = np.linalg.norm(work, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] <= drop:
-            break
-        q = work[:, j] / norms[j]
-        out.append(devectorize(q))
-        work -= np.outer(q, q @ work)
-    return out
-
-
 def solve_axb(a: Multivector, b: Multivector, d: Multivector,
               tol: float = DEFAULT_TOL) -> SolutionSet:
     """Solve a*x*b = d; unsolvable is reported as a value, not an error."""
-    p = mp_inverse(a, tol).pinv
-    q = mp_inverse(b, tol).pinv
+    ma, mb = mp_inverse(a, tol), mp_inverse(b, tol)
+    p, q = ma.pinv, mb.pinv
     x0 = p * d * q
     residual = (a * x0 * b - d).norm()
     solvable = residual <= tol * (1.0 + d.norm())
-    left = p * a
-    right = b * q
-    images = [y - left * y * right for y in BASIS]
-    hom = _orthonormal_image(images, tol)
+    if ma.kind is MPKind.INVERTIBLE and mb.kind is MPKind.INVERTIBLE:
+        hom = []
+    else:
+        projector = np.eye(8) - left_matrix(p * a) @ right_matrix(b * q)
+        values, vectors = np.linalg.eigh(projector)
+        hom = [devectorize(vectors[:, k]) for k in range(8) if values[k] > 0.5]
     return SolutionSet(
         solvable=solvable,
         particular=x0 if solvable else None,

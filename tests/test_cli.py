@@ -45,6 +45,13 @@ def test_parse_expressions():
     assert parse_multivector("cim(1-e1+e7)") == -e1
 
 
+def test_parse_product_binds_tighter_than_sum():
+    assert parse_multivector("1 + e1*e1") == 2 * e0
+    assert parse_multivector("e2 + e2*e2") == -e0 + e2
+    assert parse_multivector("(1 + e1)*e2 - e3") == e2
+    assert parse_multivector("2 - e1*e2*2") == 2 * e0 - 2 * e3
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_multivector("1+e9")
@@ -94,6 +101,12 @@ def test_eval_pinv(capsys):
 
 def test_eval_basis_square(capsys):
     code, out, _ = run(capsys, "eval", "e1*e1")
+    assert code == 0
+    assert out.splitlines()[0] == "1"
+
+
+def test_eval_json_literal(capsys):
+    code, out, _ = run(capsys, "eval", "[1,0,0,0,0,0,0,0]")
     assert code == 0
     assert out.splitlines()[0] == "1"
 

@@ -220,3 +220,61 @@ def test_equality_and_hash():
     assert hash(e1 + e2) == hash(e2 + e1)
     assert e1 != e2
     assert (e1 == "e1") is False
+
+
+# -- the generated product kernel --------------------------------------------
+
+
+def _loop_product(a, b):
+    # The plain double loop over the table, kept as the reference the
+    # generated kernel must reproduce bit for bit.
+    out = [0.0] * 8
+    for i in range(8):
+        ai = a[i]
+        if ai == 0.0:
+            continue
+        for j in range(8):
+            bj = b[j]
+            if bj != 0.0:
+                out[MUL_INDEX[i][j]] += MUL_SIGN[i][j] * ai * bj
+    return out
+
+
+def _draw_operand(rng, kind):
+    if kind == "desk":
+        return Multivector([rng.randint(-5, 5) for _ in range(8)])
+    if kind == "scaled":
+        scale = 2.0 ** rng.randint(-60, 60)
+        return Multivector([rng.uniform(-1.0, 1.0) * scale for _ in range(8)])
+    # signed zeros next to values that cancel exactly
+    return Multivector([rng.choice((0.0, -0.0, 1.0, -1.0, 0.5, -2.0)) for _ in range(8)])
+
+
+@pytest.mark.parametrize("kind", ["desk", "scaled", "zeros"])
+def test_product_matches_table_loop_bitwise(kind):
+    rng = random.Random(kind)
+    for _ in range(3000):
+        a, b = _draw_operand(rng, kind), _draw_operand(rng, kind)
+        got = (a * b).coeffs
+        want = _loop_product(a.coeffs, b.coeffs)
+        assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
+def test_product_with_negative_zero_inputs_has_no_negative_zero():
+    a = Multivector((-1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    b = Multivector((0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    assert all(math.copysign(1.0, x) == 1.0 for x in (a * b).coeffs if x == 0.0)
+    # e0*e0 and e1*(-e1) cancel to a zero coefficient
+    assert all(math.copysign(1.0, x) == 1.0 for x in ((e0 + e1) * (e0 - e1)).coeffs)
+
+
+def test_product_overflow_raises():
+    big = 1e200 * e0
+    with pytest.raises(ValueError):
+        big * big
+    with pytest.raises(ValueError):
+        (1e200 * e2) * (1e200 * e2)
+
+
+def test_constructor_normalizes_negative_zero():
+    assert all(math.copysign(1.0, x) == 1.0 for x in Multivector((-0.0,) * 8).coeffs)

@@ -158,6 +158,30 @@ def test_witness_comes_from_candidate_scan():
         )
 
 
+def test_witness_is_first_invertible_candidate():
+    rng = random.Random(63)
+    for _ in range(100):
+        a = random_multivector(rng)
+        b = conjugate_by(random_invertible(rng), a)
+        if b.cim().isclose(a.cim(), 1e-9):
+            continue
+        first = next(c for c in witness_candidates(a, b) if not c.is_singular())
+        assert is_similar(a, b).witness == first
+
+
+def test_random_fallback_is_seeded(monkeypatch):
+    # with no basis candidates to try, the witness comes from the seeded
+    # random factors and still solves q*a = b*q
+    import cl12.similarity
+
+    monkeypatch.setattr(cl12.similarity, "BASIS", ())
+    a, b = e2, e6
+    r = is_similar(a, b, seed=5)
+    assert r.similar and not r.witness.is_singular()
+    assert r.witness * a == b * r.witness
+    assert is_similar(a, b, seed=5).witness == r.witness
+
+
 def _singular_imaginary(rng):
     # pure e1..e6 parts with N = T = 0, found by rejection
     while True:

@@ -136,6 +136,36 @@ def test_homogeneous_basis_is_orthonormal():
                 assert abs(u @ v - (1.0 if i == j else 0.0)) <= 1e-9
 
 
+#: Homogeneous dimension of a*x*b = 0 for each invertibility mix.
+MIX_DIMS = {"inv_inv": 0, "inv_sing": 4, "sing_inv": 4, "sing_sing": 6, "zero": 8}
+
+
+def _draw_mix(rng, mix):
+    if mix == "zero":
+        return Multivector.zero(), random_nonzero_mixed(rng)
+    draw = {"inv": random_invertible, "sing": random_singular}
+    left, right = mix.split("_")
+    return draw[left](rng), draw[right](rng)
+
+
+@pytest.mark.parametrize("mix", sorted(MIX_DIMS))
+def test_homogeneous_space_is_the_exact_kernel(mix):
+    rng = random.Random(mix)
+    for _ in range(40):
+        a, b = _draw_mix(rng, mix)
+        sol = solve_axb(a, b, random_multivector(rng))
+        exact = _oracle_system(a, b, Multivector.zero()).nullspace
+        assert sol.dim == MIX_DIMS[mix] == len(exact) == len(sol.hom_basis)
+        if sol.dim == 0:
+            assert sol.hom_basis == []
+            continue
+        basis = np.array([vectorize(h) for h in sol.hom_basis])
+        assert np.allclose(basis @ basis.T, np.eye(sol.dim), rtol=0.0, atol=1e-12)
+        # the basis spans the exact kernel, not just a space of its size
+        kernel = np.array([[float(x) for x in v] for v in exact])
+        assert np.linalg.matrix_rank(np.vstack([basis, kernel]), tol=1e-9) == sol.dim
+
+
 def test_projector_idempotent():
     rng = random.Random(6)
     for _ in range(100):
