@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .multivector import DEFAULT_TOL, Multivector
+from .multivector import DEFAULT_TOL, Functionals, Multivector, _singular_p
 
 __all__ = ["SingularElement", "MPKind", "MPResult", "inverse", "mp_inverse"]
 
@@ -45,13 +45,22 @@ class MPResult:
     condition: float
 
 
-def inverse(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
-    """Two-sided inverse of ``a``; raises SingularElement when P ~ 0."""
-    if a.is_singular(tol):
-        raise SingularElement(f"P(a) = {a.functionals().P:g} is within tolerance of 0")
-    f = a.functionals()
+def _invert(a: Multivector, f: Functionals, s: float, tol: float) -> Multivector | None:
+    """Classical inverse of ``a`` from its functionals ``f`` and coefficient
+    square sum ``s``; None when P is within ``tol`` of 0."""
+    if _singular_p(f.P, s, tol):
+        return None
     central = Multivector((f.N / f.P, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0 * f.T / f.P))
     return central * a.conjugate()
+
+
+def inverse(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
+    """Two-sided inverse of ``a``; raises SingularElement when P ~ 0."""
+    f = a.functionals()
+    x = _invert(a, f, sum(c * c for c in a.coeffs), tol)
+    if x is None:
+        raise SingularElement(f"P(a) = {f.P:g} is within tolerance of 0")
+    return x
 
 
 def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
@@ -65,8 +74,9 @@ def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
     f = a.functionals()
     s = sum(x * x for x in a.coeffs)
     condition = f.P / (s * s)
-    if not a.is_singular(tol):
-        return MPResult(pinv=inverse(a, tol), kind=MPKind.INVERTIBLE, condition=condition)
+    x = _invert(a, f, s, tol)
+    if x is not None:
+        return MPResult(pinv=x, kind=MPKind.INVERTIBLE, condition=condition)
     # P = 0 with a != 0 forces K = (sum of squares) / 2 > 0.
     assert f.K > 0.0, "singular nonzero element with K = 0 cannot exist"
     return MPResult(

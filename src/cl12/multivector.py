@@ -299,15 +299,19 @@ class Multivector:
 
     def is_singular(self, tol: float = DEFAULT_TOL) -> bool:
         """True when |P| <= tol * (1 + norm^4); P is homogeneous of degree 4."""
-        if tol < 0.0:
-            raise ValueError("tolerance must be nonnegative")
-        s = sum(x * x for x in self._c)
-        return abs(self.functionals().P) <= tol * (1.0 + s * s)
+        return _singular_p(self.functionals().P, sum(x * x for x in self._c), tol)
 
     def isclose(self, other: "Multivector", tol: float = DEFAULT_TOL) -> bool:
         """Componentwise comparison scaled by the larger norm."""
         bound = tol * (1.0 + max(self.norm(), other.norm()))
         return all(abs(x - y) <= bound for x, y in zip(self._c, other._c))
+
+
+def _singular_p(p: float, s: float, tol: float) -> bool:
+    """The singularity rule |P| <= tol * (1 + s^2), s the coefficient square sum."""
+    if tol < 0.0:
+        raise ValueError("tolerance must be nonnegative")
+    return abs(p) <= tol * (1.0 + s * s)
 
 
 def format_multivector(a: Multivector, digits: int = 12) -> str:

@@ -15,8 +15,19 @@ exact.  Two independent layers:
   anticommutation - deliberately not shared with the hand-transcribed
   table in :mod:`cl12.multivector`, so each validates the other.
 
-Matrices are plain lists of lists; vectors are lists.  Integer values stay
-ints for speed and become Fractions only once a division demands it.
+Matrices are plain lists of lists; vectors are lists.  The matrix kernels
+(``matmul``, ``mat_vec``, ``rref``, ``rank``, ``exact_det``,
+``exact_pinv``, ``exact_solve``, ``char_poly``) and ``fmul`` run on Python
+ints: an operand holding Fractions is scaled by the lcm of its
+denominators, the work is done on the integer numerators, and each output
+entry is divided back once.  Elimination is fraction-free (Bareiss 1968):
+every update ``(p*x - f*y) // prev`` is an exact integer division.  An
+operand of ints alone is recognised by type and used as it is.  These
+kernels return an int wherever the exact value is whole and a Fraction
+only where it is not.  The elementwise helpers (``fadd``, ``fscale``,
+``ffunctionals``, ...) use plain Python arithmetic and may return a
+whole-valued Fraction when given Fractions.  ``matmul`` and ``mat_vec``
+fall back to plain arithmetic for any other entry type, floats included.
 Intended for desk-scale verification, not bulk numerics.
 """
 
@@ -25,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import NamedTuple, Sequence
 
 __all__ = [
@@ -110,6 +123,32 @@ def _div(x, y):
     return Fraction(x) / Fraction(y)
 
 
+def _ratio(num: int, den: int):
+    """num / den as an int when it is whole, else as a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+_INTS = frozenset({int, bool})
+_RATIONALS = _INTS | {Fraction}
+
+
+def _integral(rows):
+    """``(den, rows * den)`` with den the lcm of the entries' denominators.
+
+    The scaled rows are lists of ints.  Rows whose entries are all ints
+    come back as they are, found by type alone.  Returns None when some
+    entry is neither an int nor a Fraction.
+    """
+    types = set(map(type, chain.from_iterable(rows)))
+    if types <= _INTS:
+        return 1, rows
+    if not types <= _RATIONALS:
+        return None
+    den = math.lcm(*(x.denominator for x in chain.from_iterable(rows)))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # exact multivector mirror
 # ---------------------------------------------------------------------------
@@ -143,8 +182,8 @@ def fscale(lam, a) -> tuple:
 
 def fmul(a, b) -> tuple:
     """Exact algebra product over the generator-derived table."""
-    a = fvec(a)
-    b = fvec(b)
+    da, (a,) = _integral((fvec(a),))
+    db, (b,) = _integral((fvec(b),))
     out = [0] * 8
     for i in range(8):
         ai = a[i]
@@ -156,7 +195,8 @@ def fmul(a, b) -> tuple:
             bj = b[j]
             if bj:
                 out[index[j]] += signs[j] * ai * bj
-    return tuple(out)
+    den = da * db
+    return tuple(out) if den == 1 else tuple(_ratio(x, den) for x in out)
 
 
 def fconjugate(a) -> tuple:
@@ -266,11 +306,56 @@ def transpose(a) -> list[list]:
 
 def matmul(a, b) -> list[list]:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    den = 1
+    sa, sb = _integral(a), _integral(bt)
+    if sa is not None and sb is not None:
+        (da, a), (db, bt) = sa, sb
+        den = da * db
+    out = [[sum(map(mul, row, col)) for col in bt] for row in a]
+    return out if den == 1 else [[_ratio(x, den) for x in row] for row in out]
 
 
 def mat_vec(a, v) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    den = 1
+    sa, sv = _integral(a), _integral((v,))
+    if sa is not None and sv is not None:
+        (da, a), (dv, (v,)) = sa, sv
+        den = da * dv
+    out = [sum(map(mul, row, v)) for row in a]
+    return out if den == 1 else [_ratio(x, den) for x in out]
+
+
+def _rref_ints(a: list[list[int]], limit: int) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+
+    Takes the pivots as :func:`rref` does and returns ``(F, pivots, d)``
+    with ``F = d * R``: R is the matrix the rational elimination reaches
+    (rows below the rank included) and d the last pivot of F (1 without
+    pivots), the determinant of the pivot block of the row-swapped input.
+    Each update ``(p*x - f*y) // prev`` is exact by Sylvester's identity
+    (Bareiss 1968), so every entry stays an int.
+    """
+    nrows = len(a)
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for col in range(limit):
+        row = next((i for i in range(r, nrows) if a[i][col]), None)
+        if row is None:
+            continue
+        a[r], a[row] = a[row], a[r]
+        top = a[r]
+        p = top[col]
+        for i in range(nrows):
+            if i != r:
+                f = a[i][col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots, prev
 
 
 def rref(m, pivot_limit: int | None = None) -> tuple[list[list], list[int]]:
@@ -279,38 +364,25 @@ def rref(m, pivot_limit: int | None = None) -> tuple[list[list], list[int]]:
     Pivot columns are chosen left to right, taking the first row with a
     nonzero entry, so the result is deterministic.  ``pivot_limit``
     restricts pivoting to the first columns (used for augmented systems).
+    Rows below the rank hold what the elimination left there.
     """
-    a = to_exact_matrix(m)
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    limit = ncols if pivot_limit is None else pivot_limit
-    pivots: list[int] = []
-    r = 0
-    for col in range(limit):
-        row = next((i for i in range(r, nrows) if a[i][col]), None)
-        if row is None:
-            continue
-        a[r], a[row] = a[row], a[r]
-        inv = _div(1, a[r][col])
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
+    den, a = _integral(to_exact_matrix(m))
+    ncols = len(a[0]) if a else 0
+    red, pivots, d = _rref_ints(a, ncols if pivot_limit is None else pivot_limit)
+    r = len(pivots)
+    # Normalising a pivot row cancels the factor den; the rows below the
+    # rank stay linear in den*m and keep it.
+    return [[_ratio(x, d if i < r else d * den) for x in row] for i, row in enumerate(red)], pivots
 
 
 def rank(m) -> int:
-    return len(rref(m)[1])
+    a = _integral(to_exact_matrix(m))[1]
+    return len(_rref_ints(a, len(a[0]) if a else 0)[1])
 
 
 def exact_det(m):
     """Determinant by fraction-free (Bareiss) elimination."""
-    a = to_exact_matrix(m)
+    den, a = _integral(to_exact_matrix(m))
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
@@ -323,41 +395,16 @@ def exact_det(m):
                 return 0
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
+        top = a[k]
+        p = top[k]
         for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
             for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                if isinstance(num, int) and isinstance(prev, int):
-                    a[i][j] = num // prev  # exact by the Bareiss identity
-                else:
-                    a[i][j] = _exact(_div(num, prev))
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _inv_square(a) -> list[list]:
-    n = len(a)
-    aug = [list(row) + ident for row, ident in zip(to_exact_matrix(a), identity(n))]
-    red, piv = rref(aug, pivot_limit=n)
-    if len(piv) != n:
-        raise ZeroDivisionError("matrix is not invertible")
-    return [row[n:] for row in red]
-
-
-def _den_lcm(values) -> int:
-    out = 1
-    for v in values:
-        if isinstance(v, Fraction):
-            out = math.lcm(out, v.denominator)
-    return out
-
-
-def _as_int(x) -> int:
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    raise ValueError(f"expected an integral value, got {x!r}")
+                row[j] = (row[j] * p - f * top[j]) // prev  # exact by the Bareiss identity
+            row[k] = 0
+        prev = p
+    return _ratio(sign * a[n - 1][n - 1], den**n)
 
 
 def exact_pinv(m) -> list[list]:
@@ -367,30 +414,30 @@ def exact_pinv(m) -> list[list]:
     of the reduced echelon form, then A+ = G.T @ inv(F.T @ A @ G.T) @ F.T.
     All four Penrose equations are re-checked before returning.
 
-    Internally the input and the G factor are rescaled to integer matrices
-    (pinv is homogeneous of degree -1, and scaling G cancels inside the
-    formula), so the heavy products and the Penrose checks run on plain
-    ints; the single scalar denominator is divided back out at the end.
+    The input is scaled to an integer matrix (pinv is homogeneous of
+    degree -1) and each row of G to its smallest integer multiple (row
+    scaling of G cancels inside the formula).  One fraction-free pass over
+    [mid | I] gives d * inv(mid) with d = +-det(mid), so the products and
+    the Penrose checks run on plain ints and the single scalar denominator
+    is divided back out at the end.
     """
-    a = to_exact_matrix(m)
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    scale = _den_lcm(x for row in a for x in row)
-    ai = [[_as_int(x * scale) for x in row] for row in a]
-    red, piv = rref(ai)
+    scale, ai = _integral(to_exact_matrix(m))
+    nrows = len(ai)
+    ncols = len(ai[0]) if nrows else 0
+    red, piv, _ = _rref_ints([row[:] for row in ai], ncols)
     r = len(piv)
     if r == 0:
         return zeros(ncols, nrows)
     f = [[row[j] for j in piv] for row in ai]  # nrows x r
-    gi = []  # r x ncols, rows of the echelon form cleared of denominators
+    gi = []  # r x ncols
     for row in red[:r]:
-        d = _den_lcm(row)
-        gi.append([_as_int(x * d) for x in row])
+        g = math.gcd(*row)
+        gi.append([x // g for x in row])
     ft = transpose(f)
     git = transpose(gi)
     mid = matmul(matmul(ft, ai), git)  # r x r integer, invertible by construction
-    det_mid = exact_det(mid)
-    adj = [[_as_int(v * det_mid) for v in row] for row in _inv_square(mid)]
+    aug, _, det_mid = _rref_ints([row + ident for row, ident in zip(mid, identity(r))], r)
+    adj = [row[r:] for row in aug]  # det_mid * inv(mid)
     xnum = matmul(matmul(git, adj), ft)  # integer; pinv(ai) = xnum / det_mid
     ax = matmul(ai, xnum)
     xa = matmul(xnum, ai)
@@ -398,7 +445,7 @@ def exact_pinv(m) -> list[list]:
     assert matmul(xa, xnum) == [[det_mid * v for v in row] for row in xnum], "X A X != X"
     assert ax == transpose(ax), "A X not symmetric"
     assert xa == transpose(xa), "X A not symmetric"
-    return [[_exact(Fraction(scale * v, det_mid)) for v in row] for row in xnum]
+    return [[_ratio(scale * v, det_mid) for v in row] for row in xnum]
 
 
 @dataclass(frozen=True)
@@ -454,21 +501,24 @@ def char_poly(m) -> list:
     entries.  For an n x n input the list has n + 1 coefficients and the
     leading one is 1.
     """
-    a = to_exact_matrix(m)
+    den, a = _integral(to_exact_matrix(m))
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("characteristic polynomial needs a square matrix")
+    # On the integer matrix den*A every coefficient and every iterate is an
+    # integer, so the division by k is exact; coefficient k of den*A is
+    # den**k times that of A.
     coeffs = [1]
     work = [row[:] for row in a]
     for k in range(1, n + 1):
-        c = _exact(Fraction(-sum(work[i][i] for i in range(n)), k))
+        c = -sum(work[i][i] for i in range(n)) // k
         coeffs.append(c)
         if k == n:
             break
         for i in range(n):
             work[i][i] += c
         work = matmul(a, work)
-    return coeffs
+    return coeffs if den == 1 else [_ratio(c, den**k) for k, c in enumerate(coeffs)]
 
 
 def poly_mul(p: Sequence, q: Sequence) -> list:

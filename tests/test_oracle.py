@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -169,3 +170,274 @@ def test_fvec_validation():
 def test_finverse_raises_on_singular():
     with pytest.raises(ZeroDivisionError):
         oracle.finverse(e1 + e2)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction kernels they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_matmul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def _ref_mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def _ref_fmul(a, b):
+    a, b = oracle.fvec(a), oracle.fvec(b)
+    out = [0] * 8
+    for i in range(8):
+        for j in range(8):
+            out[oracle.GEN_INDEX[i][j]] += oracle.GEN_SIGN[i][j] * a[i] * b[j]
+    return tuple(out)
+
+
+def _ref_rref(m, pivot_limit=None):
+    # Gauss-Jordan over Fractions: every pivot row divided by its pivot.
+    a = [list(row) for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    limit = ncols if pivot_limit is None else pivot_limit
+    pivots = []
+    r = 0
+    for col in range(limit):
+        row = next((i for i in range(r, nrows) if a[i][col]), None)
+        if row is None:
+            continue
+        a[r], a[row] = a[row], a[r]
+        inv = 1 / Fraction(a[r][col])
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
+def _ref_solve(a, b):
+    ncols = len(a[0])
+    red, piv = _ref_rref([list(row) + [bv] for row, bv in zip(a, b)], pivot_limit=ncols)
+    consistent = all(not red[i][ncols] for i in range(len(piv), len(a)))
+    particular = None
+    if consistent:
+        particular = [0] * ncols
+        for i, col in enumerate(piv):
+            particular[col] = red[i][ncols]
+    nullspace = []
+    for j in (j for j in range(ncols) if j not in piv):
+        v = [0] * ncols
+        v[j] = 1
+        for i, col in enumerate(piv):
+            v[col] = -red[i][j]
+        nullspace.append(v)
+    return consistent, particular, nullspace
+
+
+def _ref_pinv(m):
+    # exact_pinv over the Fraction kernels: A = F G with F the pivot columns
+    # and G the nonzero echelon rows, then A+ = G^T inv(F^T A G^T) F^T, with
+    # the input and each row of G scaled to integers.
+    a = [[Fraction(x) for x in row] for row in m]
+    scale = math.lcm(*(x.denominator for row in a for x in row))
+    ai = [[int(x * scale) for x in row] for row in a]
+    red, piv = _ref_rref(ai)
+    r = len(piv)
+    if r == 0:
+        return oracle.zeros(len(a[0]), len(a))
+    f = [[row[j] for j in piv] for row in ai]
+    gi = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row] for row in red[:r]]
+    ft, git = oracle.transpose(f), oracle.transpose(gi)
+    mid = _ref_matmul(_ref_matmul(ft, ai), git)
+    red, piv = _ref_rref([row + ident for row, ident in zip(mid, oracle.identity(r))], r)
+    assert piv == list(range(r))
+    det = _ref_det(mid)
+    adj = [[int(v * det) for v in row[r:]] for row in red]
+    x = _ref_matmul(_ref_matmul(git, adj), ft)
+    return [[Fraction(scale * v, det) for v in row] for row in x]
+
+
+def _ref_char_poly(a):
+    n = len(a)
+    coeffs = [Fraction(1)]
+    work = [[Fraction(x) for x in row] for row in a]
+    for k in range(1, n + 1):
+        c = -sum(work[i][i] for i in range(n)) / k
+        coeffs.append(c)
+        if k == n:
+            break
+        for i in range(n):
+            work[i][i] += c
+        work = _ref_matmul(a, work)
+    return coeffs
+
+
+def _ref_det(a):
+    # Gaussian elimination over Fractions: the signed product of the pivots.
+    a = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for k in range(len(a)):
+        row = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if row is None:
+            return Fraction(0)
+        if row != k:
+            a[k], a[row] = a[row], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def _random_matrix(rng, nrows, ncols, max_den):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return oracle.zeros(nrows, ncols)
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        num = rng.randint(-4, 4)
+        return Fraction(num, rng.randint(1, max_den)) if max_den > 1 else num
+
+    if kind == 1 and min(nrows, ncols) > 1:  # rank-deficient: a product through a thin middle
+        k = rng.randint(1, min(nrows, ncols) - 1)
+        left = [[entry() for _ in range(k)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(k)]
+        return _ref_matmul(left, right)
+    if kind == 2 and nrows > 1:  # a repeated row up to scale
+        a = [[entry() for _ in range(ncols)] for _ in range(nrows - 1)]
+        a.insert(rng.randrange(nrows), [Fraction(rng.randint(-2, 2)) * x for x in rng.choice(a)])
+        return a
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _matrices(seed, count):
+    rng = random.Random(seed)
+    for n in range(count):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 10)
+        if n % 4 == 0:
+            ncols = nrows  # squares for det and char_poly
+        yield _random_matrix(rng, nrows, ncols, rng.randint(1, 4)), rng
+
+
+def _frac_matrix(a):
+    return [[Fraction(x) for x in row] for row in a]
+
+
+def test_kernels_match_fraction_reference():
+    for a, rng in _matrices(211, 2000):
+        nrows, ncols = len(a), len(a[0])
+        want = _ref_rref(a)
+        assert oracle.rref(a) == want
+        assert oracle.rank(a) == len(want[1])
+        assert oracle.rref(_frac_matrix(a)) == want  # whole Fractions read like ints
+
+        width = rng.randint(1, 2)
+        b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(width)]
+             for _ in range(nrows)]
+        aug = [list(row) + extra for row, extra in zip(a, b)]
+        assert oracle.rref(aug, pivot_limit=ncols) == _ref_rref(aug, pivot_limit=ncols)
+
+        if rng.randrange(2):
+            rhs = [row[0] for row in b]
+        else:  # consistent by construction
+            rhs = _ref_mat_vec(a, [rng.randint(-2, 2) for _ in range(ncols)])
+        sol = oracle.exact_solve(a, rhs)
+        assert (sol.consistent, sol.particular, sol.nullspace) == _ref_solve(a, rhs)
+
+        assert oracle.exact_pinv(a) == _ref_pinv(a)
+        if nrows == ncols:
+            assert oracle.exact_det(a) == _ref_det(a)
+            # a monic degree-n polynomial is fixed by its values at n points;
+            # Faddeev-LeVerrier and Bareiss share no code but the denominators
+            pol = oracle.char_poly(a)
+            assert len(pol) == nrows + 1 and pol[0] == 1
+            for lam in range(nrows):
+                shifted = [[lam * (i == j) - x for j, x in enumerate(row)]
+                           for i, row in enumerate(a)]
+                assert oracle.poly_eval(pol, lam) == oracle.exact_det(shifted)
+
+
+def test_left_matrix_char_poly_matches_fraction_reference():
+    rng = random.Random(223)
+    for _ in range(40):
+        a = oracle.fleft_matrix([Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(8)])
+        pol = oracle.char_poly(a)
+        assert pol == _ref_char_poly(a)
+        assert pol[-1] == oracle.exact_det(a) == _ref_det(a)
+
+
+def test_products_match_fraction_reference():
+    rng = random.Random(227)
+    for n in range(500):
+        m, k, p = rng.randint(1, 9), rng.randint(1, 10), rng.randint(1, 9)
+        a = _random_matrix(rng, m, k, rng.randint(1, 4))
+        b = _random_matrix(rng, k, p, rng.randint(1, 4))
+        v = [row[0] for row in _random_matrix(rng, k, 1, rng.randint(1, 4))]
+        assert oracle.matmul(a, b) == _ref_matmul(a, b)
+        assert oracle.mat_vec(a, v) == _ref_mat_vec(a, v)
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(8)]
+        y = [rng.randint(-5, 5) for _ in range(8)]
+        assert oracle.fmul(x, y) == _ref_fmul(x, y)
+        assert oracle.fmul(y, x) == _ref_fmul(y, x)
+        assert oracle.fmul(x, x) == _ref_fmul(x, x)
+
+
+def test_products_of_floats_keep_float_arithmetic():
+    rng = random.Random(229)
+    for _ in range(50):
+        a = [[rng.uniform(-1, 1) for _ in range(5)] for _ in range(4)]
+        b = [[rng.choice([rng.uniform(-1, 1), Fraction(1, 3), 2]) for _ in range(3)]
+             for _ in range(5)]
+        got, want = oracle.matmul(a, b), _ref_matmul(a, b)
+        assert repr(got) == repr(want)
+        v = [row[0] for row in b]
+        assert repr(oracle.mat_vec(a, v)) == repr(_ref_mat_vec(a, v))
+    m = np.arange(12).reshape(3, 4)
+    assert oracle.matmul(m, m.T) == _ref_matmul(m, m.T)
+
+
+def _entries(x):
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _entries(y)
+    else:
+        yield x
+
+
+def _kernel_outputs(a, b):
+    red, _ = oracle.rref(a)
+    sol = oracle.exact_solve(a, b)
+    out = [red, oracle.rank(a), sol.particular or [], sol.nullspace, oracle.exact_pinv(a),
+           oracle.matmul(a, oracle.transpose(a)), oracle.mat_vec(oracle.transpose(a), b)]
+    if len(a) == len(a[0]):
+        out += [oracle.char_poly(a), oracle.exact_det(a)]
+    return out
+
+
+def test_whole_values_are_ints():
+    for a, rng in _matrices(233, 300):
+        b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in a]
+        for x in _entries(_kernel_outputs(a, b)):
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1), x
+    rng = random.Random(239)
+    for _ in range(100):
+        x = [rng.randint(-3, 3) for _ in range(8)]
+        y = [Fraction(rng.randint(-3, 3), 2) for _ in range(8)]
+        for v in oracle.fmul(x, y) + oracle.fmul(y, y):
+            assert type(v) is int or v.denominator != 1
+    # integer input: only ints wherever the exact value is whole
+    la = oracle.fleft_matrix(e0 + e2 + e6)
+    for x in _entries(_kernel_outputs(la, list(range(8)))):
+        assert type(x) is int or x.denominator != 1
+    whole = [oracle.rref(la)[0], oracle.exact_pinv(oracle.identity(3)), oracle.char_poly(la)]
+    for x in _entries(whole):
+        assert type(x) is int
