@@ -9,8 +9,8 @@ supports ``*`` (binding tighter than ``+`` and ``-``), parentheses and
 the unary functions conj(), prime(), cre(), cim(), inv() and pinv().
 
 Exit codes: 0 success, 1 domain error (singular input to inv(),
-unsolvable system under --strict, failed verification), 2 parse or usage
-error.
+unsolvable system under --strict, failed verification, no witness
+candidate invertible within --tol), 2 parse or usage error.
 """
 
 from __future__ import annotations
@@ -270,7 +270,7 @@ def _cmd_solve(args) -> int:
 def _cmd_similar(args) -> int:
     a = parse_multivector(args.a, args.tol)
     b = parse_multivector(args.b, args.tol)
-    verdict = is_similar(a, b, args.tol, seed=args.seed)
+    verdict = is_similar(a, b, args.tol)
     check = None
     if verdict.similar:
         check = (verdict.witness * a - b * verdict.witness).norm()
@@ -388,7 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("similar", parents=[common], help="decide similarity, produce a witness")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_similar)
 
     p = sub.add_parser("rep", parents=[common], help="print a representation matrix")

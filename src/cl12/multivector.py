@@ -303,6 +303,8 @@ class Multivector:
 
     def isclose(self, other: "Multivector", tol: float = DEFAULT_TOL) -> bool:
         """Componentwise comparison scaled by the larger norm."""
+        if tol < 0.0:
+            raise ValueError("tolerance must be nonnegative")
         bound = tol * (1.0 + max(self.norm(), other.norm()))
         return all(abs(x - y) <= bound for x, y in zip(self._c, other._c))
 

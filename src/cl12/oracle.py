@@ -363,12 +363,16 @@ def rref(m, pivot_limit: int | None = None) -> tuple[list[list], list[int]]:
 
     Pivot columns are chosen left to right, taking the first row with a
     nonzero entry, so the result is deterministic.  ``pivot_limit``
-    restricts pivoting to the first columns (used for augmented systems).
-    Rows below the rank hold what the elimination left there.
+    restricts pivoting to the first columns (used for augmented systems)
+    and must lie in 0..ncols, else ValueError.  Rows below the rank hold
+    what the elimination left there.
     """
     den, a = _integral(to_exact_matrix(m))
     ncols = len(a[0]) if a else 0
-    red, pivots, d = _rref_ints(a, ncols if pivot_limit is None else pivot_limit)
+    limit = ncols if pivot_limit is None else pivot_limit
+    if not 0 <= limit <= ncols:
+        raise ValueError(f"pivot_limit must be in 0..{ncols}, got {pivot_limit}")
+    red, pivots, d = _rref_ints(a, limit)
     r = len(pivots)
     # Normalising a pivot row cancels the factor den; the rows below the
     # rank stay linear in den*m and keep it.
@@ -381,11 +385,13 @@ def rank(m) -> int:
 
 
 def exact_det(m):
-    """Determinant by fraction-free (Bareiss) elimination."""
+    """Determinant by fraction-free (Bareiss) elimination; 1 for 0 x 0."""
     den, a = _integral(to_exact_matrix(m))
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -6,23 +6,41 @@ and a non-central element are never similar, since conjugation fixes the
 central part.  For two non-central elements the decision reduces to three
 invariants: the central parts, N and T must agree.
 
-When they do, a witness solves q*cim(a) = cim(b)*q, and every element of
-the form cim(b)*p + p*cim(a) does, because cim(a)^2 = cim(b)^2 lies in
-the center.  At least one of the candidates with p = e0..e3 is invertible;
-the scan here extends through e4..e7 and then random p for belt and
-braces.
+When they do, u = cim(a) and v = cim(b) have equal central squares, so
+every q = v*p + p*u solves q*a = b*q.  The witness is the first
+invertible candidate with p = e0, e1, e2, e3, and one of them always is:
+
+* Cl(1,2) is M2(C), with e7 -> i and P(x) = |det x|^2; e0..e3 are a
+  C-basis, orthogonal for the trace form.  p = e_t*e7 = +-e_(t^7) only
+  multiplies candidate t by the central unit e7, and P(x*e7) = P(x), so
+  e4..e7 add nothing.
+* u and v are nonzero and traceless.  If u^2 = v^2 = 0, u = x1 y1^T and
+  v = x2 y2^T with y_k = m_k J x_k (J the 2x2 rotation), and
+  det(v p + p u) = m1 m2 (x2^T J p x1)^2 vanishes on one hyperplane,
+  which cannot hold a whole basis.
+* Else u and v have eigenvalues +-s, s != 0, and in their eigenbases the
+  candidate is diag(2s p11, -2s p22), singular iff tr(p s_k r_k^T)
+  = 0 for k = 1 or 2 (s_k eigenvectors of u, r_k left ones of v).  Such
+  a rank-one hyperplane holds at most two basis elements (three would
+  make s_k r_k^T a multiple of the fourth, which is invertible), so all
+  four singular needs a split {1, w} | {g, g w} with g w = -w g.  The
+  two rank-one forms are then multiples of 1 + l w and g (1 +- l w),
+  which share an image or a kernel: the eigenvector matrices would be
+  singular.
+
+In floats ``is_singular``'s bound is absolute for small inputs;
+``is_similar`` raises ``SingularElement`` when it rejects all four
+candidates, which happens only for pairs below the tolerance's scale.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .inverse import inverse
+from .inverse import SingularElement, inverse
 from .matrep import left_matrix, right_matrix
 from .multivector import BASIS, DEFAULT_TOL, Multivector
 
@@ -76,32 +94,28 @@ def conjugation_matrix(q: Multivector, tol: float = DEFAULT_TOL) -> ConjugationM
     return ConjugationMatrix(full=full, block=full[1:7, 1:7].copy())
 
 
+def _candidates(ca: Multivector, cb: Multivector):
+    for p in BASIS[:4]:
+        yield cb * p + p * ca
+
+
 def witness_candidates(a: Multivector, b: Multivector) -> list[Multivector]:
-    """The basis-element witness candidates for q*a = b*q, in scan order.
+    """The four witness candidates for q*a = b*q, in scan order.
 
-    Candidate t is cim(b)*e_t + e_t*cim(a); this order of the factors is
-    what makes q multiply a from the left and b from the right.
+    Candidate t is cim(b)*e_t + e_t*cim(a) for t = 0..3; this order of the
+    factors is what makes q multiply a from the left and b from the right.
     """
-    ca = a.cim()
-    cb = b.cim()
-    return [cb * e + e * ca for e in BASIS]
+    return list(_candidates(a.cim(), b.cim()))
 
 
-def _random_factors(seed: int):
-    # A generator, so the seeded stream is only set up when the basis
-    # candidates run out.
-    rng = random.Random(seed)
-    for _ in range(64):
-        yield Multivector([rng.randint(-3, 3) for _ in range(8)])
-
-
-def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL,
-               seed: int = 0) -> SimilarityResult:
+def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> SimilarityResult:
     """Decide similarity and build an invertible witness q with q*a = b*q.
 
     Comparison tolerances scale with the degree of each invariant: linear
-    for the central part, quadratic for N and T.  The random fallback for
-    the witness scan is driven by ``seed`` and so is deterministic.
+    for the central part, quadratic for N and T.  The witness is e0 when
+    the imaginary parts agree, else the first of :func:`witness_candidates`
+    that is not ``is_singular(tol)``; raises SingularElement when there is
+    none, which only happens for pairs below the tolerance's scale.
     """
     scale = max(a.norm(), b.norm())
     lin = tol * (1.0 + scale)
@@ -131,14 +145,9 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL,
     if all(abs(x - y) <= lin for x, y in zip(ca.coeffs, cb.coeffs)):
         witness = Multivector.basis(0)
     else:
-        # The candidates of witness_candidates, formed one at a time and in
-        # the same order, then random p; the scan stops at the first
-        # invertible one, so the random draws are rarely made.
-        witness = None
-        for p in itertools.chain(BASIS, _random_factors(seed)):
-            cand = cb * p + p * ca
-            if not cand.is_singular(tol):
-                witness = cand
+        for witness in _candidates(ca, cb):
+            if not witness.is_singular(tol):
                 break
-        assert witness is not None, "no invertible witness found for matching invariants"
+        else:
+            raise SingularElement(f"no witness candidate is invertible within tol = {tol:g}")
     return SimilarityResult(True, witness, SimilarityReason.INVARIANTS_MATCH)

@@ -265,8 +265,7 @@ def test_criterion_10_similarity():
         scale = max(a.norm(), b.norm())
         assert (w * a - b * w).norm() <= TOL * (1.0 + scale * scale)
         if not a.is_central(TOL * (1 + a.norm())) and not b.cim().isclose(a.cim(), TOL):
-            # witness must come from the basis-element scan, not the
-            # random fallback
+            # witness must be one of the four basis-element candidates
             near = 1e-12 * (1.0 + w.norm())
             assert any(
                 all(abs(x - y) <= near for x, y in zip(w.coeffs, c.coeffs))

@@ -214,6 +214,23 @@ def test_similar_json(capsys):
     assert payload["witness"]["coeffs"] == [0, 0, 1, 0, 0, 0, 1, 0]
 
 
+def test_similar_without_invertible_candidate_is_domain_error(capsys):
+    # every witness candidate of this pair is below the absolute singularity
+    # bound; the error names the tolerance and no exception escapes main
+    code, out, err = run(capsys, "similar", "0.000001e2", "0.000001e6")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no witness candidate is invertible within tol = 1e-09")
+    assert "Traceback" not in err
+
+
+def test_similar_has_no_seed_option(capsys):
+    code, out, err = run(capsys, "similar", "--seed", "1", "e2", "e6")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 # -- rep / eig / det ----------------------------------------------------------
 
 

@@ -130,6 +130,13 @@ def test_is_singular():
         e0.is_singular(-1.0)
 
 
+def test_isclose_rejects_negative_tolerance():
+    a = e0 + e2 + e4
+    assert a.isclose(a, 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        a.isclose(a, -1.0)
+
+
 @given(multivectors, multivectors, multivectors)
 def test_associative_and_distributive(a, b, c):
     assert (a * b) * c == a * (b * c)

@@ -73,6 +73,15 @@ def test_exact_solve_matches_pinv_criterion():
         assert oracle.exact_solve(a, b).consistent == criterion
 
 
+def test_rref_rejects_pivot_limit_out_of_range():
+    m = [[1, 2], [2, 4]]
+    for limit in (3, -1):
+        with pytest.raises(ValueError, match="pivot_limit"):
+            oracle.rref(m, pivot_limit=limit)
+    assert oracle.rref(m, pivot_limit=2) == oracle.rref(m) == ([[1, 2], [0, 0]], [0])
+    assert oracle.rref(m, pivot_limit=0) == (m, [])
+
+
 def test_rank():
     assert oracle.rank(oracle.identity(8)) == 8
     assert oracle.rank(oracle.fleft_matrix(e1 + e2)) == 4
@@ -85,6 +94,7 @@ def test_rank():
 
 def test_exact_det():
     assert oracle.exact_det(oracle.identity(8)) == 1
+    assert oracle.exact_det([]) == 1 == oracle.char_poly([])[-1]
     assert oracle.exact_det([[0, 1], [1, 0]]) == -1
     assert oracle.exact_det([[Fraction(1, 2), 0], [0, 4]]) == 2
     rng = random.Random(109)

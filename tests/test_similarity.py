@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from cl12 import (
+    BASIS,
     Multivector,
     SimilarityReason,
     SingularElement,
@@ -22,6 +24,7 @@ from cl12 import (
     inverse,
     witness_candidates,
 )
+from cl12 import oracle
 from support import random_invertible, random_multivector
 
 
@@ -169,17 +172,11 @@ def test_witness_is_first_invertible_candidate():
         assert is_similar(a, b).witness == first
 
 
-def test_random_fallback_is_seeded(monkeypatch):
-    # with no basis candidates to try, the witness comes from the seeded
-    # random factors and still solves q*a = b*q
-    import cl12.similarity
-
-    monkeypatch.setattr(cl12.similarity, "BASIS", ())
-    a, b = e2, e6
-    r = is_similar(a, b, seed=5)
-    assert r.similar and not r.witness.is_singular()
-    assert r.witness * a == b * r.witness
-    assert is_similar(a, b, seed=5).witness == r.witness
+def test_tiny_pair_raises_singular_element():
+    # every candidate of this pair is below the absolute singularity bound
+    with pytest.raises(SingularElement, match="tol = 1e-09"):
+        is_similar(1e-6 * e2, 1e-6 * e6)
+    assert is_similar(1e-6 * e2, 1e-6 * e6, tol=0.0).witness == 1e-6 * (e2 + e6)
 
 
 def _singular_imaginary(rng):
@@ -194,7 +191,7 @@ def _singular_imaginary(rng):
 
 
 def test_candidate_completeness():
-    # among the first four candidates at least one is invertible, both for
+    # at least one of the four candidates is invertible, both for
     # invertible imaginary parts with matching forms and for the doubly
     # singular configuration
     rng = random.Random(67)
@@ -205,13 +202,13 @@ def test_candidate_completeness():
             if not a.cim().is_singular():
                 b = conjugate_by(random_invertible(rng), a)
                 if not b.cim().isclose(a.cim(), 1e-9):
-                    cands = witness_candidates(a, b)[:4]
+                    cands = witness_candidates(a, b)
                     assert any(not w.is_singular() for w in cands)
                     checked_invertible += 1
         if checked_singular < 250:
             ca, cb = _singular_imaginary(rng), _singular_imaginary(rng)
             if ca != cb:
-                cands = witness_candidates(ca, cb)[:4]
+                cands = witness_candidates(ca, cb)
                 assert any(not w.is_singular() for w in cands)
                 checked_singular += 1
 
@@ -237,3 +234,88 @@ def test_witness_exact_on_integer_pairs():
         r = is_similar(a, b)
         if r.similar and all(float(c).is_integer() for c in a.coeffs + b.coeffs):
             assert r.witness * a == b * r.witness
+
+
+def _nilpotent_imaginary_parts(r):
+    # every nonzero e1..e6 part with entries in [-r, r] that squares to 0
+    parts = []
+    for c in itertools.product(range(-r, r + 1), repeat=6):
+        u = Multivector((0, *c, 0))
+        if any(c) and (u * u).is_zero():  # exact on these integers
+            parts.append(oracle.fvec(u))
+    return parts
+
+
+def _integer_unit(rng, nilpotents):
+    # (q, q^-1) with integer entries: basis elements, whose inverse is
+    # +-themselves, and 1 + n with n^2 = 0, whose inverse is 1 - n
+    q = qinv = oracle.fvec(e0)
+    for _ in range(rng.randint(1, 2)):
+        if rng.randrange(3):
+            n = rng.choice(nilpotents)
+            f, finv = oracle.fadd(e0, n), oracle.fsub(e0, n)
+        else:
+            f = oracle.fvec(rng.choice(BASIS))
+            finv = oracle.finverse(f)
+        q, qinv = oracle.fmul(q, f), oracle.fmul(finv, qinv)
+    return q, qinv
+
+
+def _exact_candidates(ca, cb, basis=tuple(map(oracle.fvec, BASIS))):
+    # candidates t = 0..7 over the oracle
+    return [oracle.fadd(oracle.fmul(cb, e), oracle.fmul(e, ca)) for e in basis]
+
+
+def test_four_candidates_complete_exactly():
+    # The module's proof, checked in exact arithmetic over exactly
+    # conjugated non-central pairs (a, q a q^-1): one of the candidates for
+    # e0..e3 has P != 0, candidate t^7 has the same P as candidate t, and
+    # the float scan returns the first candidate is_singular passes.
+    rng = random.Random(73)
+    nilpotents = _nilpotent_imaginary_parts(2)
+    unipotents = _nilpotent_imaginary_parts(1)
+    pairs = nilpotent = first_singular = exact_scan = 0
+    while pairs < 4000:
+        if pairs % 4 == 0:
+            ca = rng.choice(nilpotents)
+        else:
+            ca = (0, *(rng.randint(-2, 2) for _ in range(6)), 0)
+            if not any(ca):
+                continue
+        a = (rng.randint(-3, 3), *ca[1:7], rng.randint(-3, 3))
+        if pairs % 8 == 7:  # a rational conjugator
+            q = oracle.fvec(random_invertible(rng))
+            qinv = oracle.finverse(q)
+        else:
+            q, qinv = _integer_unit(rng, unipotents)
+        assert oracle.fmul(q, qinv) == oracle.fvec(e0)
+        b = oracle.fmul(oracle.fmul(q, a), qinv)
+        cb = oracle.fcim(b)
+        pairs += 1
+        nilpotent += not any(oracle.fmul(ca, ca))
+
+        exact = _exact_candidates(ca, cb)
+        ps = [oracle.ffunctionals(c).P for c in exact]
+        assert any(ps[:4]), (a, b)
+        assert all(ps[t ^ 7] == ps[t] for t in range(4))
+        first_singular += ps[0] == 0
+
+        fa, fb = Multivector(a), Multivector(b)
+        r = is_similar(fa, fb)
+        assert r.similar and r.reason is SimilarityReason.INVARIANTS_MATCH
+        if cb == ca:
+            assert r.witness == e0
+            continue
+        cands = witness_candidates(fa, fb)
+        assert r.witness == next(c for c in cands if not c.is_singular())
+        if all(float(x).is_integer() for x in b):
+            # integer pairs: the float candidates are exact, and so is each
+            # verdict whose bound an integer P != 0 clears
+            assert [oracle.fvec(c) for c in cands] == exact[:4]
+            assert oracle.fmul(r.witness, a) == oracle.fmul(b, r.witness)
+            for c, p in zip(cands, ps):
+                s = sum(x * x for x in c.coeffs)
+                if 1e-9 * (1.0 + s * s) < 1.0:
+                    assert c.is_singular() == (p == 0)
+                    exact_scan += 1
+    assert nilpotent >= 500 and first_singular >= 50 and exact_scan >= 4 * 3000
