@@ -30,7 +30,8 @@ for m in (Multivector.zero(), a, s, e0 + e1):
     r = mp_inverse(m)
     print(f"  pinv({str(m):12s}) = {str(r.pinv):28s} kind={r.kind.value:16s}"
           f" condition={r.condition:g}")
-print("(condition = P / norm^4; near zero means the classical branch is explosive)")
+print("(condition = P / s^2 in [0, 1], s the coefficient square sum;"
+      " near zero means the classical branch is explosive)")
 print()
 
 print("== exact cross-check on the matrix side ==")

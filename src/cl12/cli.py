@@ -22,7 +22,7 @@ import sys
 
 from .inverse import SingularElement, inverse, mp_inverse
 from .matrep import determinant, eigenvalues, left_matrix, right_matrix
-from .multivector import DEFAULT_TOL, Multivector, format_multivector
+from .multivector import DEFAULT_TOL, Multivector, _check_tol, _within, format_multivector
 from .similarity import is_similar
 from .solver import solve_ax, solve_axb, solve_xb
 from .verify import run_all
@@ -273,9 +273,9 @@ def _cmd_similar(args) -> int:
     verdict = is_similar(a, b, args.tol)
     check = None
     if verdict.similar:
-        check = (verdict.witness * a - b * verdict.witness).norm()
-        scale = max(a.norm(), b.norm())
-        if check > 8 * args.tol * (1.0 + scale + scale * scale):
+        q = verdict.witness
+        check = (q * a - b * q).norm()
+        if not _within(check, args.tol, 8.0 * q.norm() * max(a.norm(), b.norm())):
             print(f"error: witness failed its defining equation (|qa - bq| = {check:g})",
                   file=sys.stderr)
             return 1
@@ -350,11 +350,11 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+def _tolerance(text: str) -> float:
+    try:
+        return _check_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:
@@ -369,8 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine readable output")
-    common.add_argument("--tol", type=_nonneg_float, default=DEFAULT_TOL,
-                        help="tolerance for singularity and comparisons (default 1e-9)")
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                        help="relative tolerance for singularity and comparisons, "
+                             "in [0, 1) (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate a multivector expression")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .multivector import DEFAULT_TOL, Functionals, Multivector, _singular_p
+from .multivector import DEFAULT_TOL, Functionals, Multivector, _reduced, _scaled, _within
 
 __all__ = ["SingularElement", "MPKind", "MPResult", "inverse", "mp_inverse"]
 
@@ -34,10 +34,12 @@ class MPKind(enum.Enum):
 class MPResult:
     """Generalized inverse plus the case it came from.
 
-    ``condition`` is P divided by the fourth power of the coefficient norm
-    (0.0 for the zero element).  The map a -> pinv is discontinuous at
-    P = 0, so near-singular inputs make the invertible branch explosive;
-    callers can read the distance to that cliff here.
+    ``condition`` is P / s^2, s the coefficient square sum (0.0 for the
+    zero element).  It equals 4r / (1 + r)^2 with r = 1 / cond2(L(a))^2,
+    lies in [0, 1], does not change when a is scaled and is computed on
+    the reduced element, so it never divides by zero.  The map a -> pinv
+    is discontinuous at P = 0, so near-singular inputs make the invertible
+    branch explosive; callers can read the distance to that cliff here.
     """
 
     pinv: Multivector
@@ -47,40 +49,45 @@ class MPResult:
 
 def _invert(a: Multivector, f: Functionals, s: float, tol: float) -> Multivector | None:
     """Classical inverse of ``a`` from its functionals ``f`` and coefficient
-    square sum ``s``; None when P is within ``tol`` of 0."""
-    if _singular_p(f.P, s, tol):
+    square sum ``s``; None when P <= tol * s^2."""
+    if _within(f.P, tol, s * s):
         return None
     central = Multivector((f.N / f.P, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0 * f.T / f.P))
     return central * a.conjugate()
 
 
 def inverse(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
-    """Two-sided inverse of ``a``; raises SingularElement when P ~ 0."""
-    f = a.functionals()
-    x = _invert(a, f, sum(c * c for c in a.coeffs), tol)
+    """Two-sided inverse of ``a``; raises SingularElement when P <= tol * s^2."""
+    r, e, s = _reduced(a)
+    x = _invert(r, r.functionals(), s, tol)
     if x is None:
-        raise SingularElement(f"P(a) = {f.P:g} is within tolerance of 0")
-    return x
+        raise SingularElement(f"P(a) <= tol * s^2 with tol = {tol:g}: a is singular")
+    return _scaled(x, -e)
 
 
 def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
     """Generalized inverse of ``a`` as a total function.
 
     Returns the zero element for zero input, the classical inverse when
-    P != 0 (within ``tol``), and a.prime() / (4*K) otherwise.
+    P > tol * s^2, and a.prime() / (4*K) otherwise.  Far from norm 1 both
+    are computed on ``a`` scaled by a power of two and scaled back, so
+    pinv(2^k a) is exactly pinv(a) / 2^k; a result that overflows raises
+    ValueError.
     """
-    if a.is_zero():
-        return MPResult(pinv=Multivector.zero(), kind=MPKind.ZERO, condition=0.0)
-    f = a.functionals()
-    s = sum(x * x for x in a.coeffs)
-    condition = f.P / (s * s)
-    x = _invert(a, f, s, tol)
+    r, e, s = _reduced(a)
+    f = r.functionals()
+    x = _invert(r, f, s, tol)
     if x is not None:
-        return MPResult(pinv=x, kind=MPKind.INVERTIBLE, condition=condition)
-    # P = 0 with a != 0 forces K = (sum of squares) / 2 > 0.
-    assert f.K > 0.0, "singular nonzero element with K = 0 cannot exist"
+        return MPResult(pinv=_scaled(x, -e), kind=MPKind.INVERTIBLE, condition=f.P / (s * s))
+    if s == 0.0:  # only zero reduces to a zero square sum
+        return MPResult(pinv=Multivector.zero(), kind=MPKind.ZERO, condition=0.0)
+    # K > 0 here.  Exactly: K = (s + N) / 2 and N^2 <= P <= tol * s^2 give
+    # K >= s * (1 - sqrt(tol)) / 2 > 0, as tol < 1.  In floats: K == 0
+    # zeroes every even-index square, so N sums the same squares in the
+    # same order as s and equals -s; then P >= s*s > tol*s*s, and a took
+    # the invertible branch above.
     return MPResult(
-        pinv=a.prime() / (4.0 * f.K),
+        pinv=_scaled(r.prime() / (4.0 * f.K), -e),
         kind=MPKind.SINGULAR_NONZERO,
-        condition=condition,
+        condition=f.P / (s * s),
     )

@@ -6,9 +6,9 @@ assembled from the blade multiplication table: the eight basis matrices
 L(e_i) (or R(e_i)) are built once at import and flattened into one
 (8, 64) array, so L(a) is the single product vec(a) @ that array,
 reshaped to 8x8.  Every entry is one signed coefficient of a plus exact
-zeros, so no rounding depends on the summation order.  The closed-form
-row pattern (`_left_matrix_explicit`) is kept as an independent
-transcription that the tests compare against the generated one.
+zeros, so no rounding depends on the summation order.  The tests compare
+L(a) against ``cl12.oracle.fleft_matrix``, built from the oracle's own
+generator-derived table.
 
 Structural facts used throughout the package:
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multivector import MUL_INDEX, MUL_SIGN, Multivector
+from .multivector import MUL_SIGN, Multivector
 
 __all__ = [
     "K8",
@@ -46,13 +46,13 @@ S8 = np.diag([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
 def _basis_matrices() -> tuple[np.ndarray, np.ndarray]:
-    # left[i] = L(e_i), right[j] = R(e_j); e_i e_j = s * e_k contributes
-    # L(e_i)[k, j] = s and R(e_j)[k, i] = s.
+    # left[i] = L(e_i), right[j] = R(e_j); e_i e_j = s * e_k, k = i ^ j,
+    # contributes L(e_i)[k, j] = s and R(e_j)[k, i] = s.
     left = np.zeros((8, 8, 8))
     right = np.zeros((8, 8, 8))
     for i in range(8):
         for j in range(8):
-            k = MUL_INDEX[i][j]
+            k = i ^ j
             s = float(MUL_SIGN[i][j])
             left[i, k, j] = s
             right[j, k, i] = s
@@ -83,24 +83,6 @@ def left_matrix(a: Multivector) -> np.ndarray:
 def right_matrix(a: Multivector) -> np.ndarray:
     """Matrix of x -> x*a acting on coefficient vectors."""
     return (vectorize(a) @ _RIGHT_FLAT).reshape(8, 8)
-
-
-def _left_matrix_explicit(a: Multivector) -> np.ndarray:
-    # Hand transcription of the closed-form row pattern; kept separate from
-    # the table-generated path so the tests can cross-check the two.
-    a0, a1, a2, a3, a4, a5, a6, a7 = a.coeffs
-    return np.array(
-        [
-            [a0, a1, -a2, a3, -a4, a5, -a6, -a7],
-            [a1, a0, -a3, a2, -a5, a4, -a7, -a6],
-            [a2, -a3, a0, a1, -a6, -a7, a4, -a5],
-            [a3, -a2, a1, a0, -a7, -a6, a5, -a4],
-            [a4, -a5, a6, a7, a0, a1, -a2, a3],
-            [a5, -a4, a7, a6, a1, a0, -a3, a2],
-            [a6, a7, -a4, a5, a2, -a3, a0, a1],
-            [a7, a6, -a5, a4, a3, -a2, a1, a0],
-        ]
-    )
 
 
 def determinant(m: np.ndarray) -> float:

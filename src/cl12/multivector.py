@@ -8,12 +8,12 @@ eight real coefficients over the blade basis
     e4 = i3,   e5 = i1*i3,  e6 = i2*i3,  e7 = i1*i2*i3.
 
 With this ordering the product of two basis blades lands on the blade whose
-index is the XOR of the factor indices; only the sign depends on the pair.
-Both sign and index are kept in explicit tables (``MUL_SIGN``,
-``MUL_INDEX``); the test suite re-derives them from the generator rules so
-a transcription slip cannot survive unnoticed.
+index is the XOR of the factor indices, e_i * e_j = +-e_(i^j); only the
+sign depends on the pair.  The signs are kept in an explicit table
+(``MUL_SIGN``); the test suite re-derives it, and the XOR rule, from the
+generator rules so a transcription slip cannot survive unnoticed.
 
-The product kernel ``_mul_coeffs`` is generated from those two tables at
+The product kernel ``_mul_coeffs`` is generated from that rule at
 import time as one straight-line function: coefficient k is ``0.0`` plus
 the signed terms a_i*b_j landing on blade k, in ascending i.  That is the
 summation order of the plain double loop over the table.  The terms the
@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul, sub
 from typing import Iterable
 
 __all__ = [
     "DEFAULT_TOL",
-    "MUL_INDEX",
     "MUL_SIGN",
     "Functionals",
     "Multivector",
@@ -58,18 +58,7 @@ __all__ = [
 #: Default relative tolerance for singularity / centrality decisions.
 DEFAULT_TOL = 1e-9
 
-#: e_i * e_j = MUL_SIGN[i][j] * e_{MUL_INDEX[i][j]}.
-MUL_INDEX = (
-    (0, 1, 2, 3, 4, 5, 6, 7),
-    (1, 0, 3, 2, 5, 4, 7, 6),
-    (2, 3, 0, 1, 6, 7, 4, 5),
-    (3, 2, 1, 0, 7, 6, 5, 4),
-    (4, 5, 6, 7, 0, 1, 2, 3),
-    (5, 4, 7, 6, 1, 0, 3, 2),
-    (6, 7, 4, 5, 2, 3, 0, 1),
-    (7, 6, 5, 4, 3, 2, 1, 0),
-)
-
+#: e_i * e_j = MUL_SIGN[i][j] * e_(i ^ j).
 MUL_SIGN = (
     (1, 1, 1, 1, 1, 1, 1, 1),
     (1, 1, 1, 1, 1, 1, 1, 1),
@@ -108,7 +97,7 @@ def _generate_mul_coeffs():
     for i in range(8):
         for j in range(8):
             sign = "+" if MUL_SIGN[i][j] > 0 else "-"
-            terms[MUL_INDEX[i][j]].append(f" {sign} a{i}*b{j}")
+            terms[i ^ j].append(f" {sign} a{i}*b{j}")
     source = (
         "def _mul_coeffs(a, b):\n"
         f"    {', '.join(f'a{i}' for i in range(8))} = a\n"
@@ -283,8 +272,9 @@ class Multivector:
         return Functionals(N=n, T=t, P=p, T1=t1, T3=t3, T5=t5, K=k)
 
     def norm(self) -> float:
-        """Euclidean norm of the coefficient vector."""
-        return math.sqrt(sum(x * x for x in self._c))
+        """Euclidean norm of the coefficient vector (``math.hypot``: no
+        overflow, and exact under scaling by powers of two)."""
+        return math.hypot(*self._c)
 
     # -- predicates -------------------------------------------------------
 
@@ -292,28 +282,71 @@ class Multivector:
         return all(x == 0.0 for x in self._c)
 
     def is_central(self, tol: float = 0.0) -> bool:
-        """True when every e1..e6 component is at most ``tol`` in magnitude."""
-        if tol < 0.0:
-            raise ValueError("tolerance must be nonnegative")
-        return all(abs(x) <= tol for x in self._c[1:7])
+        """True when every e1..e6 component is at most ``tol`` times the norm."""
+        return _within(max(map(abs, self._c[1:7])), tol, self.norm())
 
     def is_singular(self, tol: float = DEFAULT_TOL) -> bool:
-        """True when |P| <= tol * (1 + norm^4); P is homogeneous of degree 4."""
-        return _singular_p(self.functionals().P, sum(x * x for x in self._c), tol)
+        """True when P <= tol * s^2, s the coefficient square sum.
+
+        P / s^2 = 4r / (1 + r)^2 with r = 1 / cond2(L(a))^2, so the rule is
+        a bound on the condition number of the left matrix and does not
+        depend on the scale of ``a``.  It lies in [0, 1], so ``tol`` must
+        be in [0, 1).
+        """
+        r, _, s = _reduced(self)
+        return _within(r.functionals().P, tol, s * s)
 
     def isclose(self, other: "Multivector", tol: float = DEFAULT_TOL) -> bool:
-        """Componentwise comparison scaled by the larger norm."""
-        if tol < 0.0:
-            raise ValueError("tolerance must be nonnegative")
-        bound = tol * (1.0 + max(self.norm(), other.norm()))
-        return all(abs(x - y) <= bound for x, y in zip(self._c, other._c))
+        """Componentwise comparison: every |x - y| <= tol * (1 + the larger
+        norm).  The 1 keeps the bound usable for parts that are exactly 0."""
+        gap = max(map(abs, map(sub, self._c, other._c)))
+        return _within(gap, tol, 1.0 + max(self.norm(), other.norm()))
 
 
-def _singular_p(p: float, s: float, tol: float) -> bool:
-    """The singularity rule |P| <= tol * (1 + s^2), s the coefficient square sum."""
-    if tol < 0.0:
-        raise ValueError("tolerance must be nonnegative")
-    return abs(p) <= tol * (1.0 + s * s)
+def _check_tol(tol: float) -> float:
+    """``tol`` itself; ValueError unless 0 <= tol < 1."""
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tolerance must be nonnegative and below 1, got {tol!r}")
+    return tol
+
+
+def _within(x: float, tol: float, scale: float) -> bool:
+    """The package's one tolerance rule: |x| <= tol * scale.
+
+    Callers pass a ``scale`` of the same degree as ``x`` in the inputs, so
+    verdicts do not change when the inputs are scaled.
+    """
+    return abs(x) <= _check_tol(tol) * scale
+
+
+# Coefficient square sums inside this window keep P, s^2 and every product
+# the closed forms take normal doubles, so they scale exactly by powers of two.
+_S_LOW, _S_HIGH = 2.0 ** -400, 2.0 ** 400
+
+
+def _scaled(a: Multivector, e: int) -> Multivector:
+    """a * 2^e, exact while the result stays normal; ValueError on overflow."""
+    if not e:
+        return a
+    try:
+        return Multivector(math.ldexp(x, e) for x in a._c)
+    except OverflowError:
+        raise ValueError(f"scaling by 2^{e} overflows the coefficients") from None
+
+
+def _reduced(a: Multivector) -> tuple[Multivector, int, float]:
+    """(r, e, coefficient square sum of r) with a = r * 2^e.
+
+    e is 0 (and r is a) while the square sum lies in the window; otherwise
+    r has its largest |coefficient| in [1/2, 1).  Zero is decided by
+    ``is_zero``: the square sum of a nonzero element can underflow to 0.
+    """
+    s = sum(map(mul, a._c, a._c))
+    if _S_LOW <= s <= _S_HIGH or a.is_zero():
+        return a, 0, s
+    e = math.frexp(max(map(abs, a._c)))[1]
+    r = _scaled(a, -e)
+    return r, e, sum(map(mul, r._c, r._c))
 
 
 def format_multivector(a: Multivector, digits: int = 12) -> str:

@@ -28,21 +28,26 @@ invertible candidate with p = e0, e1, e2, e3, and one of them always is:
   which share an image or a kernel: the eigenvector matrices would be
   singular.
 
-In floats ``is_singular``'s bound is absolute for small inputs;
-``is_similar`` raises ``SingularElement`` when it rejects all four
-candidates, which happens only for pairs below the tolerance's scale.
+In floats every comparison is relative to the pair's scale, so verdicts
+do not change when both elements are scaled by a power of two.
+``is_similar`` raises ``SingularElement`` when ``is_singular`` rejects all
+four candidates.  That is forced when the norms of L(a) and L(b) differ
+by a factor above 2 / sqrt(tol): b = q a q^-1 makes cond2(L(q)) at least
+that factor for every witness q, and P / s^2 <= 4 / cond2^2 <= tol.  An
+example is e1 + e2 and 1e-5 * (e1 + e2), two similar nilpotents.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
 from .inverse import SingularElement, inverse
 from .matrep import left_matrix, right_matrix
-from .multivector import BASIS, DEFAULT_TOL, Multivector
+from .multivector import BASIS, DEFAULT_TOL, Multivector, _reduced, _scaled, _within
 
 __all__ = [
     "SimilarityReason",
@@ -111,20 +116,29 @@ def witness_candidates(a: Multivector, b: Multivector) -> list[Multivector]:
 def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> SimilarityResult:
     """Decide similarity and build an invertible witness q with q*a = b*q.
 
-    Comparison tolerances scale with the degree of each invariant: linear
-    for the central part, quadratic for N and T.  The witness is e0 when
-    the imaginary parts agree, else the first of :func:`witness_candidates`
-    that is not ``is_singular(tol)``; raises SingularElement when there is
-    none, which only happens for pairs below the tolerance's scale.
+    Comparisons are relative to the larger norm ``scale``, to the degree
+    of each invariant: ``scale`` for the central part, ``scale^2`` for N
+    and T.  The witness is e0 when the imaginary parts agree, else the
+    first of :func:`witness_candidates` that is not ``is_singular(tol)``;
+    raises SingularElement when there is none.
     """
-    scale = max(a.norm(), b.norm())
-    lin = tol * (1.0 + scale)
-    quad = tol * (1.0 + scale * scale)
+    # N and T are quadratic: a pair far from norm 1 is first scaled by the
+    # power of two that reduces its larger element, so neither overflows
+    # or underflows; the witness is scaled back.
+    a_norm, b_norm = a.norm(), b.norm()
+    _, e, _ = _reduced(a if a_norm >= b_norm else b)
+    if e:
+        a, b = _scaled(a, -e), _scaled(b, -e)
+        a_norm, b_norm = a.norm(), b.norm()
+    scale = max(a_norm, b_norm)
 
-    a_central = a.is_central(lin)
-    b_central = b.is_central(lin)
+    def agree(x, y) -> bool:
+        return _within(max(map(abs, map(sub, x, y))), tol, scale)
+
+    a_central = a.is_central(tol)
+    b_central = b.is_central(tol)
     if a_central and b_central:
-        if all(abs(x - y) <= lin for x, y in zip(a.coeffs, b.coeffs)):
+        if agree(a.coeffs, b.coeffs):
             return SimilarityResult(True, Multivector.basis(0), SimilarityReason.CENTRAL_EQUAL)
         # central elements coincide with their own central part
         return SimilarityResult(False, None, SimilarityReason.CRE_MISMATCH)
@@ -133,21 +147,18 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
 
     fa = a.functionals()
     fb = b.functionals()
-    if not (abs(a.coeffs[0] - b.coeffs[0]) <= lin and abs(a.coeffs[7] - b.coeffs[7]) <= lin):
+    if not agree(a.coeffs[::7], b.coeffs[::7]):
         return SimilarityResult(False, None, SimilarityReason.CRE_MISMATCH)
-    if abs(fa.N - fb.N) > quad:
+    if not _within(fa.N - fb.N, tol, scale * scale):
         return SimilarityResult(False, None, SimilarityReason.N_MISMATCH)
-    if abs(fa.T - fb.T) > quad:
+    if not _within(fa.T - fb.T, tol, scale * scale):
         return SimilarityResult(False, None, SimilarityReason.T_MISMATCH)
 
     ca = a.cim()
     cb = b.cim()
-    if all(abs(x - y) <= lin for x, y in zip(ca.coeffs, cb.coeffs)):
-        witness = Multivector.basis(0)
-    else:
-        for witness in _candidates(ca, cb):
-            if not witness.is_singular(tol):
-                break
-        else:
-            raise SingularElement(f"no witness candidate is invertible within tol = {tol:g}")
-    return SimilarityResult(True, witness, SimilarityReason.INVARIANTS_MATCH)
+    if agree(ca.coeffs, cb.coeffs):
+        return SimilarityResult(True, Multivector.basis(0), SimilarityReason.INVARIANTS_MATCH)
+    for witness in _candidates(ca, cb):
+        if not witness.is_singular(tol):
+            return SimilarityResult(True, _scaled(witness, e), SimilarityReason.INVARIANTS_MATCH)
+    raise SingularElement(f"no witness candidate is invertible within tol = {tol:g}")

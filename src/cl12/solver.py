@@ -21,13 +21,14 @@ the unique one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .inverse import MPKind, mp_inverse
 from .matrep import devectorize, left_matrix, right_matrix
-from .multivector import DEFAULT_TOL, Multivector
+from .multivector import DEFAULT_TOL, Multivector, _reduced, _scaled, _within
 
 __all__ = ["SolutionSet", "solve_axb", "solve_ax", "solve_xb"]
 
@@ -41,7 +42,8 @@ class SolutionSet:
     reported for unsolvable systems too; ``dim`` is its size.  ``residual``
     is the 2-norm of a*x*b - d at the candidate solution, which for an
     unsolvable system equals the least-squares residual of the vectorized
-    8x8 system.
+    8x8 system.  The system is solvable when the residual is at most
+    tol * (|a| |x| |b| + |d|), a bound that scales with the equation.
     """
 
     solvable: bool
@@ -54,20 +56,28 @@ class SolutionSet:
 def solve_axb(a: Multivector, b: Multivector, d: Multivector,
               tol: float = DEFAULT_TOL) -> SolutionSet:
     """Solve a*x*b = d; unsolvable is reported as a value, not an error."""
+    # Work on the operands reduced by powers of two (see _reduced), so that
+    # no product below leaves the normal range and the verdict does not
+    # depend on their scales; x scales back by 2^(ed - ea - eb).
+    (a, ea, _), (b, eb, _), (d, ed, _) = _reduced(a), _reduced(b), _reduced(d)
     ma, mb = mp_inverse(a, tol), mp_inverse(b, tol)
     p, q = ma.pinv, mb.pinv
     x0 = p * d * q
     residual = (a * x0 * b - d).norm()
-    solvable = residual <= tol * (1.0 + d.norm())
+    solvable = _within(residual, tol, a.norm() * x0.norm() * b.norm() + d.norm())
     if ma.kind is MPKind.INVERTIBLE and mb.kind is MPKind.INVERTIBLE:
         hom = []
     else:
         projector = np.eye(8) - left_matrix(p * a) @ right_matrix(b * q)
         values, vectors = np.linalg.eigh(projector)
         hom = [devectorize(vectors[:, k]) for k in range(8) if values[k] > 0.5]
+    try:
+        residual = math.ldexp(residual, ed)
+    except OverflowError:  # |d| is near the largest double
+        residual = math.inf
     return SolutionSet(
         solvable=solvable,
-        particular=x0 if solvable else None,
+        particular=_scaled(x0, ed - ea - eb) if solvable else None,
         hom_basis=hom,
         dim=len(hom),
         residual=residual,

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cl12 import Multivector, e0, e1, e2, e3, e4, e5, e6, e7
 from cl12.cli import ParseError, main, parse_multivector
@@ -214,10 +218,18 @@ def test_similar_json(capsys):
     assert payload["witness"]["coeffs"] == [0, 0, 1, 0, 0, 0, 1, 0]
 
 
+def test_similar_tiny_pair_scales_the_witness(capsys):
+    code, out, _ = run(capsys, "similar", "--json", "0.000001e2", "0.000001e6")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["similar"] is True
+    assert payload["witness"]["coeffs"] == [0, 0, 1e-6, 0, 0, 0, 1e-6, 0]
+
+
 def test_similar_without_invertible_candidate_is_domain_error(capsys):
-    # every witness candidate of this pair is below the absolute singularity
-    # bound; the error names the tolerance and no exception escapes main
-    code, out, err = run(capsys, "similar", "0.000001e2", "0.000001e6")
+    # nilpotents of norms 1 and 1e-5: every witness candidate is singular
+    # within tol; the error names the tolerance and no exception escapes main
+    code, out, err = run(capsys, "similar", "e1+e2", "0.00001e1+0.00001e2")
     assert code == 1
     assert out == ""
     assert err.startswith("error: no witness candidate is invertible within tol = 1e-09")
@@ -299,6 +311,78 @@ def test_verify_json(capsys):
 def test_negative_tol_is_usage_error(capsys):
     code, _, _ = run(capsys, "eval", "--tol", "-1", "e1")
     assert code == 2
+
+
+def test_large_tolerance(capsys):
+    # K > 0 in the singular branch for every tol < 1; P / s^2 <= 1, so a
+    # tol of 1 or more would call everything singular and is refused
+    code, out, err = run(capsys, "eval", "--tol", "0.9", "pinv(e1)")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "e1"
+    for tol in ("1", "1.5", "nan"):
+        code, out, err = run(capsys, "eval", "--tol", tol, "pinv(e1)")
+        assert code == 2 and out == ""
+        assert "tolerance must be nonnegative and below 1" in err
+
+
+# -- fuzz: any argument list exits 0, 1 or 2 without a traceback --------------
+
+_coefficient = st.builds(
+    lambda m, k: repr(m * 2.0 ** k),
+    st.integers(1, 9), st.integers(-1074, 1020),
+)
+_term = st.builds(lambda c, t: f"{c} e{t}", _coefficient, st.integers(0, 7)) | st.sampled_from(
+    ["e1", "e2", "e7", "1", "0"])
+_literal = st.builds(
+    lambda first, rest: first + "".join(f" {op} {t}" for op, t in rest),
+    _term, st.lists(st.tuples(st.sampled_from("+-"), _term), max_size=3),
+)
+_expr = _literal | st.builds(lambda f, x: f"{f}({x})", st.sampled_from(
+    ["inv", "pinv", "conj", "prime", "cim"]), _literal) | st.builds(
+    lambda x, y: f"({x}) * ({y})", _literal, _literal)
+_tol = st.sampled_from(["0", "1e-9", "1e-3", "0.5", "0.9", "0.999999", "1", "2", "-1",
+                        "nan", "inf", "1e-300", "x"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["eval", "solve", "similar", "rep", "eig", "det", "verify"]))
+    if command == "verify":
+        argv = ["verify", "--trials", "1", "--seed", str(draw(st.integers(0, 99)))]
+    elif command == "eval":
+        argv = ["eval", draw(_expr)]
+    elif command == "solve":
+        kind = draw(st.sampled_from(["axb", "ax", "xb"]))
+        argv = ["solve", kind, "--d", draw(_literal)]
+        if kind != "xb":
+            argv += ["--a", draw(_literal)]
+        if kind != "ax":
+            argv += ["--b", draw(_literal)]
+        if draw(st.booleans()):
+            argv.append("--strict")
+    elif command == "similar":
+        argv = ["similar", draw(_literal), draw(_literal)]
+    else:
+        argv = [command, draw(_literal)]
+    if draw(st.booleans()):
+        argv += ["--tol", draw(_tol)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy det on extreme inputs
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+@example(["eval", "--tol", "0.9", "pinv(e1)"])
+@example(["similar", "0.000001e2", "0.000001e6"])
+@example(["solve", "ax", "--a", "1e-100 + 1e-100 e2 + 1e-100 e4", "--d", "1", "--strict"])
+def test_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_unknown_command(capsys):

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given
 
 from cl12 import BASIS, Functionals, Multivector, e0, e1, e2, e3, e4, e5, e6, e7
-from cl12.multivector import MUL_INDEX, MUL_SIGN
+from cl12.multivector import MUL_SIGN
 from cl12 import oracle
 from support import multivectors, random_multivector, random_singular, small_scalars
 
 
 def test_table_matches_generator_construction():
-    # the hand-transcribed table must agree with the one derived from
-    # i1^2 = +1, i2^2 = i3^2 = -1 and anticommutation
+    # the hand-transcribed signs and the XOR index rule must agree with the
+    # table derived from i1^2 = +1, i2^2 = i3^2 = -1 and anticommutation
     assert [list(row) for row in MUL_SIGN] == oracle.GEN_SIGN
-    assert [list(row) for row in MUL_INDEX] == oracle.GEN_INDEX
+    assert all(oracle.GEN_INDEX[i][j] == i ^ j for i in range(8) for j in range(8))
 
 
 def test_basis_products():
@@ -243,7 +243,7 @@ def _loop_product(a, b):
         for j in range(8):
             bj = b[j]
             if bj != 0.0:
-                out[MUL_INDEX[i][j]] += MUL_SIGN[i][j] * ai * bj
+                out[i ^ j] += MUL_SIGN[i][j] * ai * bj
     return out
 
 

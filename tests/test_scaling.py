@@ -1,0 +1,187 @@
+"""Metamorphic scale tests: scaling the inputs by 2^k changes no verdict.
+
+Scaling by a power of two is exact while the coefficients stay in the
+double range, so the library must give the same kind, the same solvability
+and the same similarity verdict at every such scale, and results scaled by
+exactly the matching power of two.  Where a result leaves the double range
+the only exception allowed is ValueError.
+"""
+
+import math
+import random
+
+import pytest
+
+from cl12 import (
+    MPKind,
+    Multivector,
+    SimilarityReason,
+    conjugate_by,
+    e0,
+    e1,
+    e2,
+    e4,
+    e6,
+    inverse,
+    is_similar,
+    mp_inverse,
+    solve_ax,
+    solve_axb,
+)
+from cl12.verify import _mixed, random_invertible, random_multivector
+
+# exponents across the whole double range and a little beyond, dense enough
+# to cross the reduction window's edges near 2^+-200
+EXPONENTS = range(-1080, 1030, 3)
+
+
+def _ldexp(a: Multivector, k: int) -> Multivector | None:
+    """a * 2^k, or None when a coefficient overflows or loses bits."""
+    try:
+        c = [math.ldexp(x, k) for x in a.coeffs]
+    except OverflowError:
+        return None
+    if any(math.ldexp(y, -k) != x for x, y in zip(a.coeffs, c)):
+        return None
+    return Multivector(c)
+
+
+def _bits(a: Multivector) -> list[str]:
+    return [x.hex() for x in a.coeffs]
+
+
+def _nonzero_mixed(rng):
+    while True:
+        a = _mixed(rng)
+        if not a.is_zero():
+            return a
+
+
+def test_scale_repros():
+    base = e0 + e2 + e4
+    assert mp_inverse(1e-3 * base).kind is MPKind.INVERTIBLE
+    sol = solve_ax(1e-3 * base, e0)
+    assert sol.solvable and sol.dim == 0
+    assert inverse(1e80 * base).isclose(inverse(base) / 1e80, 1e-15)
+    assert mp_inverse(1e-100 * base).kind is MPKind.INVERTIBLE
+    r = is_similar(1e-6 * e2, 1e-6 * e6)
+    assert r.similar and r.witness == 1e-6 * (e2 + e6)
+
+
+def test_mp_inverse_commutes_with_power_of_two_scaling():
+    rng = random.Random(0)
+    for _ in range(30):
+        a = _nonzero_mixed(rng)
+        ref = mp_inverse(a)
+        for k in EXPONENTS:
+            scaled = _ldexp(a, k)
+            if scaled is None:
+                continue
+            assert scaled.is_singular() == a.is_singular()
+            try:  # rounded like the library's result where it is subnormal
+                want = Multivector(math.ldexp(x, -k) for x in ref.pinv.coeffs)
+            except OverflowError:  # the inverse leaves the double range
+                with pytest.raises(ValueError):
+                    mp_inverse(scaled)
+                continue
+            got = mp_inverse(scaled)
+            assert got.kind is ref.kind
+            assert _bits(got.pinv) == _bits(want)
+            assert got.condition == ref.condition
+
+
+def test_results_beyond_the_double_range_raise_value_error():
+    base = e0 + e2 + e4
+    for k in (-1026, -1040, -1074):
+        tiny = Multivector(math.ldexp(x, k) for x in base.coeffs)
+        with pytest.raises(ValueError):
+            mp_inverse(tiny)
+        with pytest.raises(ValueError):
+            inverse(tiny)
+    # the largest doubles are reduced, never squared into an overflow
+    big = 1.5e308 * base
+    assert mp_inverse(big).kind is MPKind.INVERTIBLE
+    assert is_similar(big, big).reason is SimilarityReason.INVARIANTS_MATCH
+    with pytest.raises(ValueError):
+        is_similar(big, 1.5e308 * (e0 + e4 + e6))  # the witness e2 + 2 e4 + e6 overflows
+
+
+def _system(rng):
+    a, b = _mixed(rng), _mixed(rng)
+    d = a * random_multivector(rng, -3, 3) * b if rng.randrange(2) else random_multivector(rng)
+    return a, b, d
+
+
+def test_solve_axb_verdicts_do_not_depend_on_scale():
+    rng = random.Random(3)
+    for _ in range(80):
+        a, b, d = _system(rng)
+        ref = solve_axb(a, b, d)
+        for _ in range(40):
+            i, j = rng.randint(-1100, 1100), rng.randint(-1100, 1100)
+            args = _ldexp(a, i), _ldexp(b, j), _ldexp(d, i + j)
+            if None in args:
+                continue
+            try:
+                got = solve_axb(*args)
+            except ValueError:
+                # only where an inverse leaves the double range
+                assert max(abs(i), abs(j)) > 1000
+                continue
+            assert (got.solvable, got.dim) == (ref.solvable, ref.dim), (i, j)
+
+
+def _pairs(rng):
+    # conjugated pairs (similar), pairs with a bumped central part, and
+    # random pairs (almost always dissimilar)
+    for _ in range(30):
+        a = random_multivector(rng)
+        b = conjugate_by(random_invertible(rng), a)
+        yield a, b
+        yield a, Multivector([b.coeffs[0] + 1.0] + list(b.coeffs[1:]))
+        yield a, random_multivector(rng)
+
+
+def test_is_similar_verdicts_do_not_depend_on_scale():
+    rng = random.Random(5)
+    for a, b in _pairs(rng):
+        ref = is_similar(a, b)
+        for k in EXPONENTS[::4]:
+            sa, sb = _ldexp(a, k), _ldexp(b, k)
+            if sa is None or sb is None:
+                continue
+            want = None if ref.witness is None else (
+                ref.witness if ref.witness == e0 else _ldexp(ref.witness, k))
+            if ref.witness is not None and want is None:
+                with pytest.raises(ValueError):
+                    is_similar(sa, sb)
+                continue
+            got = is_similar(sa, sb)
+            assert (got.similar, got.reason) == (ref.similar, ref.reason), k
+            if want is not None:
+                assert _bits(got.witness) == _bits(want)
+
+
+def test_tolerance_must_lie_in_unit_interval():
+    for tol in (-1e-9, 1.0, 2.0, math.nan, math.inf):
+        for call in (lambda: (e1 + e2).is_singular(tol), lambda: mp_inverse(e1, tol),
+                     lambda: inverse(e0, tol), lambda: e0.isclose(e1, tol),
+                     lambda: e0.is_central(tol), lambda: solve_ax(e1, e1, tol),
+                     lambda: is_similar(e2, e4, tol)):
+            with pytest.raises(ValueError):
+                call()
+
+
+def test_large_tolerance_keeps_units_invertible():
+    # K = (s + N) / 2 >= s * (1 - sqrt(tol)) / 2 > 0 in the singular branch
+    for tol in (0.5, 0.9, 1.0 - 2.0 ** -53):
+        for t in range(1, 8):
+            r = mp_inverse(Multivector.basis(t), tol)
+            assert r.kind is MPKind.INVERTIBLE
+            assert r.pinv * Multivector.basis(t) == e0
+    rng = random.Random(11)
+    for _ in range(500):
+        a = _nonzero_mixed(rng)
+        r = mp_inverse(a, 0.9)
+        assert (r.kind is MPKind.SINGULAR_NONZERO) == (r.condition <= 0.9)
+    assert is_similar(e2, e6, 0.9).witness == e2 + e6

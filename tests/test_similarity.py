@@ -172,11 +172,25 @@ def test_witness_is_first_invertible_candidate():
         assert is_similar(a, b).witness == first
 
 
-def test_tiny_pair_raises_singular_element():
-    # every candidate of this pair is below the absolute singularity bound
-    with pytest.raises(SingularElement, match="tol = 1e-09"):
-        is_similar(1e-6 * e2, 1e-6 * e6)
-    assert is_similar(1e-6 * e2, 1e-6 * e6, tol=0.0).witness == 1e-6 * (e2 + e6)
+def test_tiny_pair_is_similar():
+    # the singularity rule is relative, so a pair's scale cannot hide its witness
+    for tol in (1e-9, 0.0):
+        r = is_similar(1e-6 * e2, 1e-6 * e6, tol)
+        assert r.similar and r.reason is SimilarityReason.INVARIANTS_MATCH
+        assert r.witness == 1e-6 * (e2 + e6)
+
+
+def test_nilpotent_pair_of_unequal_norms_raises_singular_element():
+    # u and t*u are similar, but every witness has cond2 >= 1/t, so for
+    # 1/t > 2/sqrt(tol) = 6.3e4 is_singular rejects all of them
+    u = e1 + e2
+    assert is_similar(u, 3e-5 * u).similar
+    for t in (1e-5, 1e-6, 2.0 ** -40):
+        with pytest.raises(SingularElement, match="tol = 1e-09"):
+            is_similar(u, t * u)
+        with pytest.raises(SingularElement):
+            is_similar(t * u, u)
+    assert is_similar(u, 1e-6 * u, tol=1e-13).similar
 
 
 def _singular_imaginary(rng):
