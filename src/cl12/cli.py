@@ -22,7 +22,16 @@ import sys
 
 from .inverse import SingularElement, inverse, mp_inverse
 from .matrep import determinant, eigenvalues, left_matrix, right_matrix
-from .multivector import DEFAULT_TOL, Multivector, _check_tol, _within, format_multivector
+from .multivector import (
+    DEFAULT_TOL,
+    Multivector,
+    _check_tol,
+    _ldexp,
+    _reduced,
+    _scaled,
+    _within,
+    format_multivector,
+)
 from .similarity import is_similar
 from .solver import solve_ax, solve_axb, solve_xb
 from .verify import run_all
@@ -202,6 +211,23 @@ def _format_complex(z: complex) -> str:
     return f"{_g(re_)}{'+' if im > 0 else '-'}{imag.lstrip('-')}"
 
 
+def _finite(x):
+    """``x`` with every float that is not finite replaced by None."""
+    if isinstance(x, float):
+        return x if x - x == 0.0 else None  # inf - inf and nan - nan are nan
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return x
+
+
+def _print_json(payload: dict) -> None:
+    """Print RFC 8259 JSON, which has no Infinity or NaN: a number past the
+    double range (N, P or det of a huge element) prints as null."""
+    print(json.dumps(_finite(payload), allow_nan=False))
+
+
 def _mv_json(m: Multivector) -> dict:
     f = m.functionals()
     return {"coeffs": list(m.coeffs), "N": f.N, "T": f.T, "P": f.P}
@@ -222,7 +248,7 @@ def _print_matrix(m) -> None:
 def _cmd_eval(args) -> int:
     result = parse_multivector(args.expr, args.tol)
     if args.json:
-        print(json.dumps(_mv_json(result)))
+        _print_json(_mv_json(result))
         return 0
     f = result.functionals()
     print(format_multivector(result))
@@ -247,13 +273,13 @@ def _cmd_solve(args) -> int:
         sol = solve_xb(parse_multivector(args.b, args.tol), d, args.tol)
 
     if args.json:
-        print(json.dumps({
+        _print_json({
             "solvable": sol.solvable,
             "particular": _mv_json(sol.particular) if sol.particular is not None else None,
             "hom_basis": [_mv_json(h) for h in sol.hom_basis],
             "dim": sol.dim,
             "residual": sol.residual,
-        }))
+        })
     else:
         print(f"solvable: {'yes' if sol.solvable else 'no'}")
         if sol.particular is not None:
@@ -273,18 +299,24 @@ def _cmd_similar(args) -> int:
     verdict = is_similar(a, b, args.tol)
     check = None
     if verdict.similar:
-        q = verdict.witness
+        # checked on the pair reduced as is_similar reduces it and on the
+        # witness reduced on its own, so no product leaves the double range
+        _, e, _ = _reduced(a if a.norm() >= b.norm() else b)
+        a, b = _scaled(a, -e), _scaled(b, -e)
+        q, eq, _ = _reduced(verdict.witness)
         check = (q * a - b * q).norm()
-        if not _within(check, args.tol, 8.0 * q.norm() * max(a.norm(), b.norm())):
+        ok = _within(check, args.tol, 8.0 * q.norm() * max(a.norm(), b.norm()))
+        check = _ldexp(check, e + eq)  # back to the input's scale
+        if not ok:
             print(f"error: witness failed its defining equation (|qa - bq| = {check:g})",
                   file=sys.stderr)
             return 1
     if args.json:
-        print(json.dumps({
+        _print_json({
             "similar": verdict.similar,
             "reason": verdict.reason.value,
             "witness": _mv_json(verdict.witness) if verdict.witness is not None else None,
-        }))
+        })
         return 0
     print(f"similar: {'yes' if verdict.similar else 'no'}")
     print(f"reason: {verdict.reason.value}")
@@ -298,7 +330,7 @@ def _cmd_rep(args) -> int:
     a = parse_multivector(args.a, args.tol)
     m = left_matrix(a) if args.side == "left" else right_matrix(a)
     if args.json:
-        print(json.dumps({"side": args.side, "matrix": [list(row) for row in m]}))
+        _print_json({"side": args.side, "matrix": [list(row) for row in m]})
     else:
         _print_matrix(m)
     return 0
@@ -307,10 +339,10 @@ def _cmd_rep(args) -> int:
 def _cmd_eig(args) -> int:
     spectrum = eigenvalues(parse_multivector(args.a, args.tol))
     if args.json:
-        print(json.dumps({
+        _print_json({
             "eigenvalues": [{"re": z.real, "im": z.imag} for z in spectrum.values],
             "multiplicity": spectrum.multiplicity,
-        }))
+        })
     else:
         listing = ", ".join(_format_complex(z) for z in spectrum.values)
         print(f"{listing}  (each with algebraic multiplicity {spectrum.multiplicity})")
@@ -322,7 +354,7 @@ def _cmd_det(args) -> int:
     det = determinant(left_matrix(a))
     p = a.functionals().P
     if args.json:
-        print(json.dumps({"det": det, "P": p, "P_squared": p * p}))
+        _print_json({"det": det, "P": p, "P_squared": p * p})
     else:
         print(f"det = {_g(det)}  (P = {_g(p)}, P^2 = {_g(p * p)})")
     return 0
@@ -332,10 +364,10 @@ def _cmd_verify(args) -> int:
     results = run_all(trials=args.trials, seed=args.seed, tol=args.tol)
     ok = all(r.ok for r in results)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "ok": ok,
             "suites": [{"name": r.name, "passed": r.passed, "failed": r.failed} for r in results],
-        }))
+        })
     else:
         for r in results:
             print(f"{r.name}: {r.passed} passed, {r.failed} failed")

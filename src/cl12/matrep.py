@@ -6,9 +6,9 @@ assembled from the blade multiplication table: the eight basis matrices
 L(e_i) (or R(e_i)) are built once at import and flattened into one
 (8, 64) array, so L(a) is the single product vec(a) @ that array,
 reshaped to 8x8.  Every entry is one signed coefficient of a plus exact
-zeros, so no rounding depends on the summation order.  The tests compare
-L(a) against ``cl12.oracle.fleft_matrix``, built from the oracle's own
-generator-derived table.
+zeros, so no rounding depends on the summation order.  The ``verify``
+suites compare L(a) against ``cl12.oracle.fleft_matrix``, built from the
+oracle's own generator-derived table.
 
 Structural facts used throughout the package:
 

@@ -10,8 +10,8 @@ eight real coefficients over the blade basis
 With this ordering the product of two basis blades lands on the blade whose
 index is the XOR of the factor indices, e_i * e_j = +-e_(i^j); only the
 sign depends on the pair.  The signs are kept in an explicit table
-(``MUL_SIGN``); the test suite re-derives it, and the XOR rule, from the
-generator rules so a transcription slip cannot survive unnoticed.
+(``MUL_SIGN``); the ``verify`` suites re-derive it, and the XOR rule, from
+the generator rules so a transcription slip cannot survive unnoticed.
 
 The product kernel ``_mul_coeffs`` is generated from that rule at
 import time as one straight-line function: coefficient k is ``0.0`` plus
@@ -332,6 +332,14 @@ def _scaled(a: Multivector, e: int) -> Multivector:
         return Multivector(math.ldexp(x, e) for x in a._c)
     except OverflowError:
         raise ValueError(f"scaling by 2^{e} overflows the coefficients") from None
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e for x >= 0; inf when that leaves the double range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def _reduced(a: Multivector) -> tuple[Multivector, int, float]:

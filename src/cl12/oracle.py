@@ -157,6 +157,10 @@ def _integral(rows):
 def fvec(a) -> tuple:
     """Exact coefficient tuple from a Multivector or any 8-sequence."""
     coeffs = getattr(a, "coeffs", a)
+    # an 8-tuple of ints (what the mirror itself returns) is already exact,
+    # and _exact would hand every entry back unchanged
+    if type(coeffs) is tuple and len(coeffs) == 8 and set(map(type, coeffs)) <= _INTS:
+        return coeffs
     out = tuple(_exact(x) for x in coeffs)
     if len(out) != 8:
         raise ValueError(f"expected 8 coefficients, got {len(out)}")

@@ -21,14 +21,13 @@ the unique one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .inverse import MPKind, mp_inverse
 from .matrep import devectorize, left_matrix, right_matrix
-from .multivector import DEFAULT_TOL, Multivector, _reduced, _scaled, _within
+from .multivector import DEFAULT_TOL, Multivector, _ldexp, _reduced, _scaled, _within
 
 __all__ = ["SolutionSet", "solve_axb", "solve_ax", "solve_xb"]
 
@@ -71,16 +70,12 @@ def solve_axb(a: Multivector, b: Multivector, d: Multivector,
         projector = np.eye(8) - left_matrix(p * a) @ right_matrix(b * q)
         values, vectors = np.linalg.eigh(projector)
         hom = [devectorize(vectors[:, k]) for k in range(8) if values[k] > 0.5]
-    try:
-        residual = math.ldexp(residual, ed)
-    except OverflowError:  # |d| is near the largest double
-        residual = math.inf
     return SolutionSet(
         solvable=solvable,
         particular=_scaled(x0, ed - ea - eb) if solvable else None,
         hom_basis=hom,
         dim=len(hom),
-        residual=residual,
+        residual=_ldexp(residual, ed),  # inf when |d| is near the largest double
     )
 
 

