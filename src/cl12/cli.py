@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -34,7 +35,6 @@ from .multivector import (
 )
 from .similarity import is_similar
 from .solver import solve_ax, solve_axb, solve_xb
-from .verify import run_all
 
 __all__ = ["ParseError", "parse_multivector", "main"]
 
@@ -351,7 +351,10 @@ def _cmd_eig(args) -> int:
 
 def _cmd_det(args) -> int:
     a = parse_multivector(args.a, args.tol)
-    det = determinant(left_matrix(a))
+    # det L(a) has degree 8, so it overflows long before a does: take it with
+    # the largest |coefficient| moved into [1/2, 1) and scale it back
+    e = math.frexp(max(map(abs, a.coeffs)))[1]
+    det = _ldexp(determinant(left_matrix(_scaled(a, -e))), 8 * e)
     p = a.functionals().P
     if args.json:
         _print_json({"det": det, "P": p, "P_squared": p * p})
@@ -361,6 +364,8 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_all  # loads the oracle, which no other command needs
+
     results = run_all(trials=args.trials, seed=args.seed, tol=args.tol)
     ok = all(r.ok for r in results)
     if args.json:

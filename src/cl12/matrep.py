@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multivector import MUL_SIGN, Multivector
+from .multivector import MUL_SIGN, Multivector, _ldexp, _reduced
 
 __all__ = [
     "K8",
@@ -112,13 +112,19 @@ def eigenvalues(a: Multivector) -> EigenSpectrum:
     The roots of lambda^2 - 2*lambda*(c0 + c7*i) + N + 2*T*i together with
     their complex conjugates.  The principal square root is used; both
     signs are emitted, so the branch choice only permutes the output.
+    They are computed on ``a`` reduced by a power of two, as the inverses
+    are, and scaled back (they have degree 1), so N and T cannot overflow;
+    a part past the double range comes back infinite.
     """
-    c = a.coeffs
-    f = a.functionals()
+    r, e, _ = _reduced(a)
+    c = r.coeffs
+    f = r.functionals()
     alpha = complex(c[0], c[7])
     beta = complex(f.N, 2.0 * f.T)
     root = cmath.sqrt(alpha * alpha - beta)
     lams = [alpha + root, alpha - root]
     lams += [lam.conjugate() for lam in lams]
     lams.sort(key=lambda z: (z.real, z.imag))
+    if e:
+        lams = [complex(_ldexp(z.real, e), _ldexp(z.imag, e)) for z in lams]
     return EigenSpectrum(values=tuple(lams))

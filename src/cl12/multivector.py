@@ -335,11 +335,11 @@ def _scaled(a: Multivector, e: int) -> Multivector:
 
 
 def _ldexp(x: float, e: int) -> float:
-    """x * 2^e for x >= 0; inf when that leaves the double range."""
+    """x * 2^e; an infinity of the sign of x when that leaves the double range."""
     try:
         return math.ldexp(x, e)
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, x)
 
 
 def _reduced(a: Multivector) -> tuple[Multivector, int, float]:

@@ -18,17 +18,19 @@ exact.  Two independent layers:
 Matrices are plain lists of lists; vectors are lists.  The matrix kernels
 (``matmul``, ``mat_vec``, ``rref``, ``rank``, ``exact_det``,
 ``exact_pinv``, ``exact_solve``, ``char_poly``) and ``fmul`` run on Python
-ints: an operand holding Fractions is scaled by the lcm of its
-denominators, the work is done on the integer numerators, and each output
-entry is divided back once.  Elimination is fraction-free (Bareiss 1968):
-every update ``(p*x - f*y) // prev`` is an exact integer division.  An
-operand of ints alone is recognised by type and used as it is.  These
-kernels return an int wherever the exact value is whole and a Fraction
-only where it is not.  The elementwise helpers (``fadd``, ``fscale``,
-``ffunctionals``, ...) use plain Python arithmetic and may return a
-whole-valued Fraction when given Fractions.  ``matmul`` and ``mat_vec``
-fall back to plain arithmetic for any other entry type, floats included.
-Intended for desk-scale verification, not bulk numerics.
+ints, and every operand enters them one way: an operand of ints alone is
+recognised by type and used as it is; any other is read exactly (a float
+becomes the rational it denotes, anything but an int, Fraction or float
+raises TypeError), scaled by the lcm of its denominators, the work is done
+on the integer numerators, and each output entry is divided back once.
+No kernel modifies its input.  Elimination is one fraction-free
+Gauss-Jordan pass (Bareiss 1968): every update ``(p*x - f*y) // prev`` is
+an exact integer division.  These kernels return an int wherever the exact
+value is whole and a Fraction only where it is not.  The elementwise
+helpers (``fadd``, ``fscale``, ``ffunctionals``, ...) use plain Python
+arithmetic and may return a whole-valued Fraction when given Fractions.
+Nothing here checks its own results; :mod:`cl12.verify` does.  Intended
+for desk-scale verification, not bulk numerics.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "fvec",
     "fadd",
     "fsub",
-    "fneg",
     "fscale",
     "fmul",
     "fconjugate",
@@ -136,15 +137,16 @@ _RATIONALS = _INTS | {Fraction}
 def _integral(rows):
     """``(den, rows * den)`` with den the lcm of the entries' denominators.
 
-    The scaled rows are lists of ints.  Rows whose entries are all ints
-    come back as they are, found by type alone.  Returns None when some
-    entry is neither an int nor a Fraction.
+    The only way a matrix enters the kernels.  The scaled rows are lists of
+    ints.  Rows whose entries are all ints come back as they are, found by
+    type alone; other entries are read through :func:`_exact`, so a float
+    counts as the rational it denotes and anything else raises TypeError.
     """
     types = set(map(type, chain.from_iterable(rows)))
     if types <= _INTS:
         return 1, rows
     if not types <= _RATIONALS:
-        return None
+        rows = [[_exact(x) for x in row] for row in rows]
     den = math.lcm(*(x.denominator for x in chain.from_iterable(rows)))
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
@@ -173,10 +175,6 @@ def fadd(a, b) -> tuple:
 
 def fsub(a, b) -> tuple:
     return tuple(x - y for x, y in zip(fvec(a), fvec(b)))
-
-
-def fneg(a) -> tuple:
-    return tuple(-x for x in fvec(a))
 
 
 def fscale(lam, a) -> tuple:
@@ -292,10 +290,6 @@ def fright_matrix(a) -> list[list]:
 # ---------------------------------------------------------------------------
 
 
-def to_exact_matrix(m) -> list[list]:
-    return [[_exact(x) for x in row] for row in m]
-
-
 def identity(n: int) -> list[list]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -309,45 +303,44 @@ def transpose(a) -> list[list]:
 
 
 def matmul(a, b) -> list[list]:
-    bt = list(zip(*b))
-    den = 1
-    sa, sb = _integral(a), _integral(bt)
-    if sa is not None and sb is not None:
-        (da, a), (db, bt) = sa, sb
-        den = da * db
+    (da, a), (db, bt) = _integral(a), _integral(list(zip(*b)))
+    den = da * db
     out = [[sum(map(mul, row, col)) for col in bt] for row in a]
     return out if den == 1 else [[_ratio(x, den) for x in row] for row in out]
 
 
 def mat_vec(a, v) -> list:
-    den = 1
-    sa, sv = _integral(a), _integral((v,))
-    if sa is not None and sv is not None:
-        (da, a), (dv, (v,)) = sa, sv
-        den = da * dv
+    (da, a), (dv, (v,)) = _integral(a), _integral((v,))
+    den = da * dv
     out = [sum(map(mul, row, v)) for row in a]
     return out if den == 1 else [_ratio(x, den) for x in out]
 
 
-def _rref_ints(a: list[list[int]], limit: int) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+def _rref_ints(a: list[list[int]], limit: int) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
-    Takes the pivots as :func:`rref` does and returns ``(F, pivots, d)``
-    with ``F = d * R``: R is the matrix the rational elimination reaches
-    (rows below the rank included) and d the last pivot of F (1 without
-    pivots), the determinant of the pivot block of the row-swapped input.
-    Each update ``(p*x - f*y) // prev`` is exact by Sylvester's identity
-    (Bareiss 1968), so every entry stays an int.
+    Takes the pivots as :func:`rref` does and returns ``(F, pivots, d,
+    sign)`` with ``F = d * R``: R is the matrix the rational elimination
+    reaches (rows below the rank included) and d the last pivot of F (1
+    without pivots), the determinant of the pivot block of the row-swapped
+    input; ``sign`` is the parity of the row swaps, so for a square input
+    of full rank ``sign * d`` is its determinant.  Each update
+    ``(p*x - f*y) // prev`` is exact by Sylvester's identity (Bareiss
+    1968), so every entry stays an int.  Rows are replaced, never written
+    to, so only the outer list is copied and ``a`` is left as it was.
     """
+    a = list(a)
     nrows = len(a)
     pivots: list[int] = []
-    prev = 1
+    prev = sign = 1
     r = 0
     for col in range(limit):
         row = next((i for i in range(r, nrows) if a[i][col]), None)
         if row is None:
             continue
-        a[r], a[row] = a[row], a[r]
+        if row != r:
+            a[r], a[row] = a[row], a[r]
+            sign = -sign
         top = a[r]
         p = top[col]
         for i in range(nrows):
@@ -359,7 +352,7 @@ def _rref_ints(a: list[list[int]], limit: int) -> tuple[list[list[int]], list[in
         r += 1
         if r == nrows:
             break
-    return a, pivots, prev
+    return a, pivots, prev, sign
 
 
 def rref(m, pivot_limit: int | None = None) -> tuple[list[list], list[int]]:
@@ -371,12 +364,12 @@ def rref(m, pivot_limit: int | None = None) -> tuple[list[list], list[int]]:
     and must lie in 0..ncols, else ValueError.  Rows below the rank hold
     what the elimination left there.
     """
-    den, a = _integral(to_exact_matrix(m))
+    den, a = _integral(m)
     ncols = len(a[0]) if a else 0
     limit = ncols if pivot_limit is None else pivot_limit
     if not 0 <= limit <= ncols:
         raise ValueError(f"pivot_limit must be in 0..{ncols}, got {pivot_limit}")
-    red, pivots, d = _rref_ints(a, limit)
+    red, pivots, d, _ = _rref_ints(a, limit)
     r = len(pivots)
     # Normalising a pivot row cancels the factor den; the rows below the
     # rank stay linear in den*m and keep it.
@@ -384,57 +377,39 @@ def rref(m, pivot_limit: int | None = None) -> tuple[list[list], list[int]]:
 
 
 def rank(m) -> int:
-    a = _integral(to_exact_matrix(m))[1]
+    a = _integral(m)[1]
     return len(_rref_ints(a, len(a[0]) if a else 0)[1])
 
 
 def exact_det(m):
     """Determinant by fraction-free (Bareiss) elimination; 1 for 0 x 0."""
-    den, a = _integral(to_exact_matrix(m))
+    den, a = _integral(m)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        top = a[k]
-        p = top[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * p - f * top[j]) // prev  # exact by the Bareiss identity
-            row[k] = 0
-        prev = p
-    return _ratio(sign * a[n - 1][n - 1], den**n)
+    _, pivots, d, sign = _rref_ints(a, n)
+    return _ratio(sign * d, den**n) if len(pivots) == n else 0
 
 
 def exact_pinv(m) -> list[list]:
-    """Moore-Penrose inverse via full-rank factorization, verified exactly.
+    """Moore-Penrose inverse via full-rank factorization.
 
     Writes A = F @ G with F the pivot columns of A and G the nonzero rows
     of the reduced echelon form, then A+ = G.T @ inv(F.T @ A @ G.T) @ F.T.
-    All four Penrose equations are re-checked before returning.
+    The result is not re-checked here: the ``oracle`` suite of
+    :mod:`cl12.verify` counts the four Penrose equations on it.
 
     The input is scaled to an integer matrix (pinv is homogeneous of
     degree -1) and each row of G to its smallest integer multiple (row
     scaling of G cancels inside the formula).  One fraction-free pass over
-    [mid | I] gives d * inv(mid) with d = +-det(mid), so the products and
-    the Penrose checks run on plain ints and the single scalar denominator
-    is divided back out at the end.
+    [mid | I] gives d * inv(mid) with d = +-det(mid), so the products run
+    on plain ints and the single scalar denominator is divided back out at
+    the end.
     """
-    scale, ai = _integral(to_exact_matrix(m))
+    scale, ai = _integral(m)
     nrows = len(ai)
     ncols = len(ai[0]) if nrows else 0
-    red, piv, _ = _rref_ints([row[:] for row in ai], ncols)
+    red, piv, _, _ = _rref_ints(ai, ncols)
     r = len(piv)
     if r == 0:
         return zeros(ncols, nrows)
@@ -446,15 +421,9 @@ def exact_pinv(m) -> list[list]:
     ft = transpose(f)
     git = transpose(gi)
     mid = matmul(matmul(ft, ai), git)  # r x r integer, invertible by construction
-    aug, _, det_mid = _rref_ints([row + ident for row, ident in zip(mid, identity(r))], r)
+    aug, _, det_mid, _ = _rref_ints([row + ident for row, ident in zip(mid, identity(r))], r)
     adj = [row[r:] for row in aug]  # det_mid * inv(mid)
     xnum = matmul(matmul(git, adj), ft)  # integer; pinv(ai) = xnum / det_mid
-    ax = matmul(ai, xnum)
-    xa = matmul(xnum, ai)
-    assert matmul(ax, ai) == [[det_mid * v for v in row] for row in ai], "A X A != A"
-    assert matmul(xa, xnum) == [[det_mid * v for v in row] for row in xnum], "X A X != X"
-    assert ax == transpose(ax), "A X not symmetric"
-    assert xa == transpose(xa), "X A not symmetric"
     return [[_ratio(scale * v, det_mid) for v in row] for row in xnum]
 
 
@@ -473,14 +442,11 @@ def exact_solve(m, b: Sequence) -> ExactSolution:
     The nullspace basis (one vector per free column) is returned whether
     or not the system is consistent.
     """
-    a = to_exact_matrix(m)
-    bvec = [_exact(x) for x in b]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if len(bvec) != nrows:
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    if len(b) != nrows:
         raise ValueError("right-hand side length does not match row count")
-    aug = [row + [bv] for row, bv in zip(a, bvec)]
-    red, piv = rref(aug, pivot_limit=ncols)
+    red, piv = rref([[*row, bv] for row, bv in zip(m, b)], pivot_limit=ncols)
     r = len(piv)
     consistent = all(not red[i][ncols] for i in range(r, nrows))
     particular: list | None = None
@@ -511,7 +477,7 @@ def char_poly(m) -> list:
     entries.  For an n x n input the list has n + 1 coefficients and the
     leading one is 1.
     """
-    den, a = _integral(to_exact_matrix(m))
+    den, a = _integral(m)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("characteristic polynomial needs a square matrix")
@@ -519,7 +485,7 @@ def char_poly(m) -> list:
     # integer, so the division by k is exact; coefficient k of den*A is
     # den**k times that of A.
     coeffs = [1]
-    work = [row[:] for row in a]
+    work = [list(row) for row in a]
     for k in range(1, n + 1):
         c = -sum(work[i][i] for i in range(n)) // k
         coeffs.append(c)

@@ -352,7 +352,12 @@ def _suite_oracle(trials: int, seed: int, tol: float) -> SuiteResult:
     rng = random.Random(seed)
     for n in range(trials):
         a = oracle.fleft_matrix(oracle.fvec(_mixed(rng)))
-        x = oracle.exact_pinv(a)  # Penrose equations asserted internally
+        x = oracle.exact_pinv(a)
+        ax, xa = oracle.matmul(a, x), oracle.matmul(x, a)
+        res.check(oracle.matmul(ax, a) == a, f"trial {n}: A X A = A")
+        res.check(oracle.matmul(xa, x) == x, f"trial {n}: X A X = X")
+        res.check(ax == oracle.transpose(ax) and xa == oracle.transpose(xa),
+                  f"trial {n}: A X and X A symmetric")
         res.check(oracle.exact_pinv(oracle.transpose(a)) == oracle.transpose(x),
                   f"trial {n}: pinv commutes with transpose")
 

@@ -1,11 +1,14 @@
+import ast
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cl12
 from cl12 import Multivector, e0, e1, e2, e3, e4, e5, e6, e7
 from cl12.cli import ParseError, main, parse_multivector
 
@@ -296,7 +299,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy det overflows
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_json_maps_numbers_past_the_double_range_to_null(capsys):
     code, out, _ = run(capsys, "eval", "--json", "1e+200e1")
     assert code == 0
@@ -335,7 +338,7 @@ def test_verify_json(capsys):
         ("inverse", 1704, 0),
         ("solver", 1100, 0),
         ("similarity", 1600, 0),
-        ("oracle", 1301, 0),
+        ("oracle", 1901, 0),
     ]
 
 
@@ -405,7 +408,7 @@ def _argv(draw):
     return argv
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy det on extreme inputs
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(_argv())
 @example(["eval", "--tol", "0.9", "pinv(e1)"])
@@ -413,6 +416,9 @@ def _argv(draw):
 @example(["solve", "ax", "--a", "1e-100 + 1e-100 e2 + 1e-100 e4", "--d", "1", "--strict"])
 @example(["similar", "1e+300e2", "1e+300e6"])
 @example(["eval", "1e+200e1", "--json"])
+@example(["det", "5e-324e1"])
+@example(["det", "1e+50e1"])
+@example(["eig", "1e+300 e1 + 1e+300 e2", "--json"])
 def test_fuzz_exit_codes(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -431,3 +437,13 @@ def test_unknown_command(capsys):
 def test_help_exits_zero(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0
+
+
+def test_library_has_no_assert_statements():
+    # an assert vanishes under python -O and fails as a bare AssertionError,
+    # which the CLI would print as a traceback; checks raise or are counted
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(cl12.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

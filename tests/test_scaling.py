@@ -22,6 +22,7 @@ from cl12 import (
     e2,
     e4,
     e6,
+    eigenvalues,
     inverse,
     is_similar,
     mp_inverse,
@@ -66,6 +67,8 @@ def test_scale_repros():
     assert mp_inverse(1e-100 * base).kind is MPKind.INVERTIBLE
     r = is_similar(1e-6 * e2, 1e-6 * e6)
     assert r.similar and r.witness == 1e-6 * (e2 + e6)
+    assert eigenvalues(1e300 * e1).values == (-1e300, -1e300, 1e300, 1e300)
+    assert eigenvalues(1e300 * (e1 + e2)).values == (0, 0, 0, 0)  # nilpotent
 
 
 def test_mp_inverse_commutes_with_power_of_two_scaling():
