@@ -24,7 +24,6 @@ from .multivector import (
     DEFAULT_TOL,
     Functionals,
     Multivector,
-    basis,
     e0,
     e1,
     e2,
@@ -34,8 +33,6 @@ from .multivector import (
     e6,
     e7,
     format_multivector,
-    scalar,
-    zero,
 )
 from .similarity import (
     ConjugationMatrix,
@@ -65,7 +62,6 @@ __all__ = [
     "SimilarityResult",
     "SingularElement",
     "SolutionSet",
-    "basis",
     "conjugate_by",
     "conjugation_matrix",
     "determinant",
@@ -85,11 +81,9 @@ __all__ = [
     "left_matrix",
     "mp_inverse",
     "right_matrix",
-    "scalar",
     "solve_ax",
     "solve_axb",
     "solve_xb",
     "vectorize",
     "witness_candidates",
-    "zero",
 ]

@@ -228,9 +228,17 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(_finite(payload), allow_nan=False))
 
 
+def _forms(a: Multivector) -> tuple[float, float, float]:
+    """N, T and P of ``a``, taken on ``_reduced(a)`` and scaled back (N and T
+    have degree 2, P degree 4), so they overflow only past the double range."""
+    r, e, _ = _reduced(a)
+    f = r.functionals()
+    return _ldexp(f.N, 2 * e), _ldexp(f.T, 2 * e), _ldexp(f.P, 4 * e)
+
+
 def _mv_json(m: Multivector) -> dict:
-    f = m.functionals()
-    return {"coeffs": list(m.coeffs), "N": f.N, "T": f.T, "P": f.P}
+    n, t, p = _forms(m)
+    return {"coeffs": list(m.coeffs), "N": n, "T": t, "P": p}
 
 
 def _print_matrix(m) -> None:
@@ -250,9 +258,9 @@ def _cmd_eval(args) -> int:
     if args.json:
         _print_json(_mv_json(result))
         return 0
-    f = result.functionals()
+    n, t, p = _forms(result)
     print(format_multivector(result))
-    print(f"N = {_g(f.N)}  T = {_g(f.T)}  P = {_g(f.P)}")
+    print(f"N = {_g(n)}  T = {_g(t)}  P = {_g(p)}")
     return 0
 
 
@@ -355,7 +363,7 @@ def _cmd_det(args) -> int:
     # the largest |coefficient| moved into [1/2, 1) and scale it back
     e = math.frexp(max(map(abs, a.coeffs)))[1]
     det = _ldexp(determinant(left_matrix(_scaled(a, -e))), 8 * e)
-    p = a.functionals().P
+    p = _forms(a)[2]
     if args.json:
         _print_json({"det": det, "P": p, "P_squared": p * p})
     else:

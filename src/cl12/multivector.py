@@ -50,9 +50,6 @@ __all__ = [
     "e5",
     "e6",
     "e7",
-    "basis",
-    "scalar",
-    "zero",
 ]
 
 #: Default relative tolerance for singularity / centrality decisions.
@@ -382,18 +379,6 @@ def format_multivector(a: Multivector, digits: int = 12) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts) if parts else "0"
-
-
-def zero() -> Multivector:
-    return Multivector.zero()
-
-
-def scalar(x: float) -> Multivector:
-    return Multivector.scalar(x)
-
-
-def basis(t: int) -> Multivector:
-    return Multivector.basis(t)
 
 
 #: The eight basis blades, index t <-> blade e_t.

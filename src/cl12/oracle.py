@@ -19,10 +19,11 @@ Matrices are plain lists of lists; vectors are lists.  The matrix kernels
 (``matmul``, ``mat_vec``, ``rref``, ``rank``, ``exact_det``,
 ``exact_pinv``, ``exact_solve``, ``char_poly``) and ``fmul`` run on Python
 ints, and every operand enters them one way: an operand of ints alone is
-recognised by type and used as it is; any other is read exactly (a float
-becomes the rational it denotes, anything but an int, Fraction or float
-raises TypeError), scaled by the lcm of its denominators, the work is done
-on the integer numerators, and each output entry is divided back once.
+recognised by type and used as it is; any other is read exactly (any
+integer type through ``int``, a float as the rational it denotes, and
+anything but an integer, Fraction or float raises TypeError), scaled by
+the lcm of its denominators, the work is done on the integer numerators,
+and each output entry is divided back once.
 No kernel modifies its input.  Elimination is one fraction-free
 Gauss-Jordan pass (Bareiss 1968): every update ``(p*x - f*y) // prev`` is
 an exact integer division.  These kernels return an int wherever the exact
@@ -39,6 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from numbers import Integral
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -107,8 +109,9 @@ GEN_SIGN, GEN_INDEX = _generated_table()
 
 
 def _exact(x):
-    """Coerce to an exact number: ints stay ints, floats become Fractions
-    (whole-valued floats collapse back to int)."""
+    """Coerce to an exact number: ints stay ints, other integers (numpy's,
+    say) become ints, floats become Fractions (whole-valued floats collapse
+    back to int)."""
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
@@ -117,6 +120,8 @@ def _exact(x):
         if x.is_integer():
             return int(x)
         return Fraction(x)
+    if isinstance(x, Integral):
+        return int(x)
     raise TypeError(f"not an exact-representable number: {x!r}")
 
 
@@ -139,8 +144,9 @@ def _integral(rows):
 
     The only way a matrix enters the kernels.  The scaled rows are lists of
     ints.  Rows whose entries are all ints come back as they are, found by
-    type alone; other entries are read through :func:`_exact`, so a float
-    counts as the rational it denotes and anything else raises TypeError.
+    type alone; other entries are read through :func:`_exact`, so a numpy
+    integer counts as its int, a float as the rational it denotes, and
+    anything else raises TypeError.
     """
     types = set(map(type, chain.from_iterable(rows)))
     if types <= _INTS:

@@ -308,6 +308,9 @@ def test_json_maps_numbers_past_the_double_range_to_null(capsys):
     code, out, _ = run(capsys, "det", "--json", "1e+300e1")
     assert code == 0
     assert _strict_json(out) == {"det": None, "P": None, "P_squared": None}
+    # N = T = P = 0 are in range even where the square sum is not
+    _, out, _ = run(capsys, "eval", "--json", "1e+200 + 1e+200 e1")
+    assert [_strict_json(out)[k] for k in "NTP"] == [0, 0, 0]
 
 
 # -- verify -------------------------------------------------------------------
@@ -416,6 +419,7 @@ def _argv(draw):
 @example(["solve", "ax", "--a", "1e-100 + 1e-100 e2 + 1e-100 e4", "--d", "1", "--strict"])
 @example(["similar", "1e+300e2", "1e+300e6"])
 @example(["eval", "1e+200e1", "--json"])
+@example(["eval", "1e+200 + 1e+200 e1", "--json"])
 @example(["det", "5e-324e1"])
 @example(["det", "1e+50e1"])
 @example(["eig", "1e+300 e1 + 1e+300 e2", "--json"])

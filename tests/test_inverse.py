@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -15,15 +14,10 @@ from cl12 import (
     inverse,
     mp_inverse,
 )
-from cl12 import oracle
 from support import random_invertible, random_nonzero_mixed
 
 
 def test_inverse_examples():
-    a = e0 + e2 + e4
-    got = inverse(a)
-    want = (e0 - e2 - e4) / 3
-    assert all(abs(g - w) <= 1e-12 for g, w in zip(got.coeffs, want.coeffs))
     assert inverse(e0) == e0
     assert inverse(e4) == -e4
     assert e4 * inverse(e4) == e0
@@ -45,13 +39,6 @@ def test_inverse_two_sided():
         assert (x * a).isclose(e0, 1e-9)
 
 
-def test_mp_inverse_agrees_with_inverse_when_invertible():
-    rng = random.Random(29)
-    for _ in range(100):
-        a = random_invertible(rng)
-        assert mp_inverse(a).pinv == inverse(a)
-
-
 def test_mp_inverse_cases():
     z = mp_inverse(Multivector.zero())
     assert z.pinv == Multivector.zero() and z.kind is MPKind.ZERO and z.condition == 0.0
@@ -68,11 +55,6 @@ def test_mp_inverse_cases():
     inv = mp_inverse(e0 + e2 + e4)
     assert inv.kind is MPKind.INVERTIBLE
     assert inv.condition == pytest.approx(1.0)  # P = 9, norm^4 = 9
-
-
-def test_exact_inverse_example_in_rationals():
-    got = oracle.finverse(e0 + e2 + e4)
-    assert got == (Fraction(1, 3), 0, Fraction(-1, 3), 0, Fraction(-1, 3), 0, 0, 0)
 
 
 def _mp_inverse_reference(a, tol=1e-9):

@@ -117,18 +117,6 @@ def test_char_poly_of_e7():
     assert oracle.char_poly(oracle.fleft_matrix(e7)) == want
 
 
-def test_gaussian_evaluation():
-    a = Multivector((1, -1, 1, 1, 0, 0, 0, -1))
-    pol = oracle.char_poly(oracle.fleft_matrix(a))
-    der = oracle.poly_derivative(pol)
-    der2 = oracle.poly_derivative(der)
-    for re, im in ((2, -1), (0, -1), (2, 1), (0, 1)):
-        assert oracle.poly_eval_gaussian(pol, re, im) == (0, 0)
-        assert oracle.poly_eval_gaussian(der, re, im) == (0, 0)
-        assert oracle.poly_eval_gaussian(der2, re, im) != (0, 0)
-    assert oracle.poly_eval([1, 0, -4], 2) == 0
-
-
 def test_fmul_agrees_with_library_product():
     rng = random.Random(127)
     for _ in range(150):
@@ -159,7 +147,8 @@ def test_fvec_validation():
         oracle.fvec([1, 2, 3])
     with pytest.raises(TypeError):
         oracle.fvec(["a"] * 8)
-    assert oracle.fvec(np.arange(8.0)) == tuple(range(8))
+    assert oracle.fvec(np.arange(8.0)) == oracle.fvec(np.arange(8)) == tuple(range(8))
+    assert oracle.rank(np.eye(3, dtype=int)) == 3
 
 
 def test_finverse_raises_on_singular():

@@ -29,7 +29,7 @@ from cl12 import (
     solve_ax,
     solve_axb,
 )
-from cl12.verify import _mixed, random_invertible, random_multivector
+from support import random_invertible, random_multivector, random_nonzero_mixed
 
 # exponents across the whole double range and a little beyond, dense enough
 # to cross the reduction window's edges near 2^+-200
@@ -51,13 +51,6 @@ def _bits(a: Multivector) -> list[str]:
     return [x.hex() for x in a.coeffs]
 
 
-def _nonzero_mixed(rng):
-    while True:
-        a = _mixed(rng)
-        if not a.is_zero():
-            return a
-
-
 def test_scale_repros():
     base = e0 + e2 + e4
     assert mp_inverse(1e-3 * base).kind is MPKind.INVERTIBLE
@@ -74,7 +67,7 @@ def test_scale_repros():
 def test_mp_inverse_commutes_with_power_of_two_scaling():
     rng = random.Random(0)
     for _ in range(30):
-        a = _nonzero_mixed(rng)
+        a = random_nonzero_mixed(rng)
         ref = mp_inverse(a)
         for k in EXPONENTS:
             scaled = _ldexp(a, k)
@@ -110,7 +103,7 @@ def test_results_beyond_the_double_range_raise_value_error():
 
 
 def _system(rng):
-    a, b = _mixed(rng), _mixed(rng)
+    a, b = random_nonzero_mixed(rng), random_nonzero_mixed(rng)
     d = a * random_multivector(rng, -3, 3) * b if rng.randrange(2) else random_multivector(rng)
     return a, b, d
 
@@ -184,7 +177,7 @@ def test_large_tolerance_keeps_units_invertible():
             assert r.pinv * Multivector.basis(t) == e0
     rng = random.Random(11)
     for _ in range(500):
-        a = _nonzero_mixed(rng)
+        a = random_nonzero_mixed(rng)
         r = mp_inverse(a, 0.9)
         assert (r.kind is MPKind.SINGULAR_NONZERO) == (r.condition <= 0.9)
     assert is_similar(e2, e6, 0.9).witness == e2 + e6
