@@ -5,23 +5,19 @@ closed-form classical and generalized inverses, linear equations of the
 form a*x*b = d, similarity decisions with explicit witnesses, and an
 exact-rational oracle (:mod:`cl12.oracle`) that independently verifies
 every closed form.
+
+The names that need numpy (the matrix representation and the solver) are
+imported on first use, so ``import cl12`` and the closed forms built from
+the eight coefficients alone do not load numpy.
 """
 
+import importlib
+
 from .inverse import MPKind, MPResult, SingularElement, inverse, mp_inverse
-from .matrep import (
-    K8,
-    S8,
-    EigenSpectrum,
-    determinant,
-    devectorize,
-    eigenvalues,
-    left_matrix,
-    right_matrix,
-    vectorize,
-)
 from .multivector import (
     BASIS,
     DEFAULT_TOL,
+    EigenSpectrum,
     Functionals,
     Multivector,
     e0,
@@ -32,6 +28,7 @@ from .multivector import (
     e5,
     e6,
     e7,
+    eigenvalues,
     format_multivector,
 )
 from .similarity import (
@@ -43,7 +40,29 @@ from .similarity import (
     is_similar,
     witness_candidates,
 )
-from .solver import SolutionSet, solve_ax, solve_axb, solve_xb
+
+#: Public name -> the numpy-backed submodule that defines it.
+_LAZY = {
+    **dict.fromkeys(
+        ("K8", "S8", "determinant", "devectorize", "left_matrix", "right_matrix", "vectorize"),
+        "matrep",
+    ),
+    **dict.fromkeys(("SolutionSet", "solve_ax", "solve_axb", "solve_xb"), "solver"),
+}
+
+
+def __getattr__(name):
+    # PEP 562: called only for a name the module does not define yet
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

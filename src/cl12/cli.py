@@ -10,7 +10,10 @@ the unary functions conj(), prime(), cre(), cim(), inv() and pinv().
 
 Exit codes: 0 success, 1 domain error (singular input to inv(),
 unsolvable system under --strict, failed verification, no witness
-candidate invertible within --tol), 2 parse or usage error.
+candidate invertible within --tol, a value that leaves the double range
+while the command runs), 2 parse or usage error (a literal number that
+is not a finite double, such as ``1e+999`` or a JSON ``Infinity``, is a
+parse error).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import re
 import sys
 
 from .inverse import SingularElement, inverse, mp_inverse
-from .matrep import determinant, eigenvalues, left_matrix, right_matrix
 from .multivector import (
     DEFAULT_TOL,
     Multivector,
@@ -31,10 +33,10 @@ from .multivector import (
     _reduced,
     _scaled,
     _within,
+    eigenvalues,
     format_multivector,
 )
 from .similarity import is_similar
-from .solver import solve_ax, solve_axb, solve_xb
 
 __all__ = ["ParseError", "parse_multivector", "main"]
 
@@ -68,7 +70,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             continue
         m = _NUM_RE.match(text, i)
         if m:
-            tokens.append(("num", float(m.group()), i))
+            value = float(m.group())
+            if not math.isfinite(value):
+                raise ParseError(f"number {m.group()} is not a finite double", i)
+            tokens.append(("num", value, i))
             i = m.end()
             continue
         m = _NAME_RE.match(text, i)
@@ -181,12 +186,16 @@ def parse_multivector(text: str, tol: float = DEFAULT_TOL) -> Multivector:
     stripped = text.strip()
     if stripped.startswith("["):
         try:
-            data = json.loads(stripped)
+            data = json.loads(stripped, parse_int=float)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON literal: {exc.msg}", exc.pos) from None
         if not isinstance(data, list) or len(data) != 8 \
                 or not all(isinstance(x, (int, float)) for x in data):
             raise ParseError("JSON literal must be an array of 8 numbers", 0)
+        # the array is flat, so its runs of non-separators are its 8 numbers
+        for x, m in zip(data, re.finditer(r"[^\s\[\],]+", stripped)):
+            if not math.isfinite(x):  # Infinity, NaN, 1e999
+                raise ParseError(f"number {m.group()} is not a finite double", m.start())
         return Multivector(data)
     return _Parser(stripped, tol).parse()
 
@@ -212,9 +221,10 @@ def _format_complex(z: complex) -> str:
 
 
 def _finite(x):
-    """``x`` with every float that is not finite replaced by None."""
+    """``x`` with every float that is not finite replaced by None, and -0.0
+    by 0.0 (as ``_g`` prints it)."""
     if isinstance(x, float):
-        return x if x - x == 0.0 else None  # inf - inf and nan - nan are nan
+        return x + 0.0 if x - x == 0.0 else None  # inf - inf and nan - nan are nan
     if isinstance(x, dict):
         return {k: _finite(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -265,6 +275,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solver import solve_ax, solve_axb, solve_xb  # loads numpy
+
     d = parse_multivector(args.d, args.tol)
     if args.kind == "axb":
         if args.a is None or args.b is None:
@@ -335,6 +347,8 @@ def _cmd_similar(args) -> int:
 
 
 def _cmd_rep(args) -> int:
+    from .matrep import left_matrix, right_matrix  # loads numpy
+
     a = parse_multivector(args.a, args.tol)
     m = left_matrix(a) if args.side == "left" else right_matrix(a)
     if args.json:
@@ -358,6 +372,8 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_det(args) -> int:
+    from .matrep import determinant, left_matrix  # loads numpy
+
     a = parse_multivector(args.a, args.tol)
     # det L(a) has degree 8, so it overflows long before a does: take it with
     # the largest |coefficient| moved into [1/2, 1) and scale it back
@@ -484,12 +500,12 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except SingularElement as exc:
+    except (SingularElement, ValueError) as exc:
+        # a literal that is not a finite double is a ParseError, so this is a
+        # value that left the double range while the command ran (Multivector
+        # refuses a coefficient that is not finite)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,29 +16,22 @@ Structural facts used throughout the package:
 * R(a) = K8 @ L(a).T @ K8 and the two involutions transport to
   transposition: L(a.prime()) = L(a).T, L(a.conjugate()) = S8 @ L(a).T @ S8.
 * det L(a) = det R(a) = P(a)^2.
-* The eigenvalues of L(a) come in two conjugate pairs with algebraic
-  multiplicity 2, given in closed form by ``eigenvalues``.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
-
 import numpy as np
 
-from .multivector import MUL_SIGN, Multivector, _ldexp, _reduced
+from .multivector import MUL_SIGN, Multivector
 
 __all__ = [
     "K8",
     "S8",
-    "EigenSpectrum",
     "vectorize",
     "devectorize",
     "left_matrix",
     "right_matrix",
     "determinant",
-    "eigenvalues",
 ]
 
 K8 = np.diag([1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
@@ -91,40 +84,3 @@ def determinant(m: np.ndarray) -> float:
     if m.shape != (8, 8):
         raise ValueError(f"expected an 8x8 matrix, got shape {m.shape}")
     return float(np.linalg.det(m))
-
-
-@dataclass(frozen=True)
-class EigenSpectrum:
-    """The four eigenvalues of L(a), each of algebraic multiplicity 2.
-
-    ``values`` is sorted by (real part, imaginary part).  When the two
-    underlying quadratics share roots the listed values coincide and the
-    effective multiplicity merges; the list always has four entries.
-    """
-
-    values: tuple[complex, complex, complex, complex]
-    multiplicity: int = 2
-
-
-def eigenvalues(a: Multivector) -> EigenSpectrum:
-    """Closed-form eigenvalues of ``left_matrix(a)``.
-
-    The roots of lambda^2 - 2*lambda*(c0 + c7*i) + N + 2*T*i together with
-    their complex conjugates.  The principal square root is used; both
-    signs are emitted, so the branch choice only permutes the output.
-    They are computed on ``a`` reduced by a power of two, as the inverses
-    are, and scaled back (they have degree 1), so N and T cannot overflow;
-    a part past the double range comes back infinite.
-    """
-    r, e, _ = _reduced(a)
-    c = r.coeffs
-    f = r.functionals()
-    alpha = complex(c[0], c[7])
-    beta = complex(f.N, 2.0 * f.T)
-    root = cmath.sqrt(alpha * alpha - beta)
-    lams = [alpha + root, alpha - root]
-    lams += [lam.conjugate() for lam in lams]
-    lams.sort(key=lambda z: (z.real, z.imag))
-    if e:
-        lams = [complex(_ldexp(z.real, e), _ldexp(z.imag, e)) for z in lams]
-    return EigenSpectrum(values=tuple(lams))

@@ -24,6 +24,10 @@ exactly like the loop, sign of zero included, and never holds -0.0: its
 result skips the constructor's normalization and is only checked for
 finiteness.
 
+The closed-form eigenvalues of the left matrix L(a) (``eigenvalues``) are
+built from these coefficients and the scalar forms alone, so they live
+here and need no matrix.
+
 Scalars are double precision floats.  All operations on integer
 coefficients of desk scale are exact; :mod:`cl12.oracle` mirrors the
 closed forms over exact rationals for independent verification.
@@ -31,6 +35,7 @@ closed forms over exact rationals for independent verification.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from operator import mul, sub
@@ -38,6 +43,7 @@ from typing import Iterable
 
 __all__ = [
     "DEFAULT_TOL",
+    "EigenSpectrum",
     "MUL_SIGN",
     "Functionals",
     "Multivector",
@@ -50,6 +56,7 @@ __all__ = [
     "e5",
     "e6",
     "e7",
+    "eigenvalues",
 ]
 
 #: Default relative tolerance for singularity / centrality decisions.
@@ -352,6 +359,43 @@ def _reduced(a: Multivector) -> tuple[Multivector, int, float]:
     e = math.frexp(max(map(abs, a._c)))[1]
     r = _scaled(a, -e)
     return r, e, sum(map(mul, r._c, r._c))
+
+
+@dataclass(frozen=True)
+class EigenSpectrum:
+    """The four eigenvalues of L(a), each of algebraic multiplicity 2.
+
+    ``values`` is sorted by (real part, imaginary part).  When the two
+    underlying quadratics share roots the listed values coincide and the
+    effective multiplicity merges; the list always has four entries.
+    """
+
+    values: tuple[complex, complex, complex, complex]
+    multiplicity: int = 2
+
+
+def eigenvalues(a: Multivector) -> EigenSpectrum:
+    """Closed-form eigenvalues of ``left_matrix(a)``.
+
+    The roots of lambda^2 - 2*lambda*(c0 + c7*i) + N + 2*T*i together with
+    their complex conjugates.  The principal square root is used; both
+    signs are emitted, so the branch choice only permutes the output.
+    They are computed on ``a`` reduced by a power of two, as the inverses
+    are, and scaled back (they have degree 1), so N and T cannot overflow;
+    a part past the double range comes back infinite.
+    """
+    r, e, _ = _reduced(a)
+    c = r.coeffs
+    f = r.functionals()
+    alpha = complex(c[0], c[7])
+    beta = complex(f.N, 2.0 * f.T)
+    root = cmath.sqrt(alpha * alpha - beta)
+    lams = [alpha + root, alpha - root]
+    lams += [lam.conjugate() for lam in lams]
+    lams.sort(key=lambda z: (z.real, z.imag))
+    if e:
+        lams = [complex(_ldexp(z.real, e), _ldexp(z.imag, e)) for z in lams]
+    return EigenSpectrum(values=tuple(lams))
 
 
 def format_multivector(a: Multivector, digits: int = 12) -> str:

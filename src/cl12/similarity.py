@@ -42,11 +42,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from operator import sub
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .inverse import SingularElement, inverse
-from .matrep import left_matrix, right_matrix
 from .multivector import BASIS, DEFAULT_TOL, Multivector, _reduced, _scaled, _within
 
 __all__ = [
@@ -58,6 +56,9 @@ __all__ = [
     "is_similar",
     "witness_candidates",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SimilarityReason(enum.Enum):
@@ -95,6 +96,8 @@ def conjugate_by(q: Multivector, x: Multivector, tol: float = DEFAULT_TOL) -> Mu
 
 
 def conjugation_matrix(q: Multivector, tol: float = DEFAULT_TOL) -> ConjugationMatrix:
+    from .matrep import left_matrix, right_matrix  # numpy, which is_similar does not need
+
     full = left_matrix(q) @ right_matrix(inverse(q, tol))
     return ConjugationMatrix(full=full, block=full[1:7, 1:7].copy())
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import oracle
 from .inverse import inverse, mp_inverse
-from .matrep import K8, S8, eigenvalues, left_matrix, right_matrix, vectorize
-from .multivector import BASIS, DEFAULT_TOL, MUL_SIGN, Multivector, _within
+from .matrep import K8, S8, left_matrix, right_matrix, vectorize
+from .multivector import BASIS, DEFAULT_TOL, MUL_SIGN, Multivector, _within, eigenvalues
 from .similarity import (
     SimilarityReason,
     conjugate_by,

@@ -2,6 +2,10 @@ import ast
 import contextlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,6 +140,23 @@ def test_eval_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "1++")
     assert code == 2
     assert "parse error" in err
+
+
+def test_literal_outside_the_double_range_is_a_parse_error(capsys):
+    for text, position in [("1e+999", 0), ("1 + 1e+999 e3", 4),
+                           ("[0, Infinity, 0, 0, 0, 0, 0, 0]", 4)]:
+        with pytest.raises(ParseError) as err:
+            parse_multivector(text)
+        assert err.value.position == position
+        code, out, err = run(capsys, "eval", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ")
+
+
+def test_value_leaving_the_double_range_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "eval", "1e+200e1 * 1e+200e1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
 
 
 # -- solve ------------------------------------------------------------------
@@ -313,6 +334,13 @@ def test_json_maps_numbers_past_the_double_range_to_null(capsys):
     assert [_strict_json(out)[k] for k in "NTP"] == [0, 0, 0]
 
 
+def test_json_prints_no_negative_zero(capsys):
+    # the true N of 1e-200 e1, -1e-400, underflows to -0.0; text prints "0"
+    code, out, _ = run(capsys, "eval", "--json", "1e-200e1")
+    assert code == 0 and "-0.0" not in out
+    assert math.copysign(1.0, _strict_json(out)["N"]) == 1.0
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -441,6 +469,41 @@ def test_unknown_command(capsys):
 def test_help_exits_zero(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == 0
+
+
+def test_numpy_stays_off_the_import_path():
+    # numpy is loaded by the matrix representation and the solver only, on
+    # first use; `import cl12` and eval, eig and similar never load it
+    env = {**os.environ, "PYTHONPATH": str(Path(cl12.__file__).parents[1])}
+
+    def python(*args):
+        done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done
+
+    script = """
+import sys
+import cl12
+assert "numpy" not in sys.modules
+assert cl12.left_matrix.__module__ == "cl12.matrep"
+assert cl12.solve_axb.__module__ == "cl12.solver"
+namespace = {}
+exec("from cl12 import *", namespace)
+assert set(cl12.__all__) <= set(namespace)
+try:
+    cl12.no_such_name
+except AttributeError:
+    pass
+else:
+    raise SystemExit("cl12.no_such_name resolved")
+"""
+    python("-c", script)
+    for argv in (["eval", "(1+e2+e4) * inv(1+e2+e4)"], ["eig", "1-e1+e2+e3-e7"],
+                 ["similar", "e2", "e6"]):
+        # -X importtime lists every module the process imports on stderr
+        imported = python("-X", "importtime", "-m", "cl12", *argv, "--json").stderr
+        assert "numpy" not in imported, argv
 
 
 def test_library_has_no_assert_statements():
