@@ -7,6 +7,10 @@ eight numbers is accepted as well.  ``2e3`` denotes 2 * e3; scientific
 notation needs a signed exponent (``1e-9``).  ``eval`` additionally
 supports ``*`` (binding tighter than ``+`` and ``-``), parentheses and
 the unary functions conj(), prime(), cre(), cim(), inv() and pinv().
+Every option is spelled ``--name`` (or an unambiguous prefix of it)
+except ``-h``, so any other argument that starts with a single ``-`` is
+a literal such as ``-e7``.  ``det`` is the exact determinant of L(a),
+taken in the oracle and rounded once.
 
 Exit codes: 0 success, 1 domain error (singular input to inv(),
 unsolvable system under --strict, failed verification, no witness
@@ -28,6 +32,7 @@ from .inverse import SingularElement, inverse, mp_inverse
 from .multivector import (
     DEFAULT_TOL,
     Multivector,
+    _DIGITS,
     _check_tol,
     _ldexp,
     _reduced,
@@ -53,7 +58,15 @@ class ParseError(ValueError):
 # sign ('1e-13'), which is how the 12-digit formatter always writes them
 _NUM_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z]+\d*")
-_FUNCTIONS = ("conj", "prime", "cre", "cim", "inv", "pinv")
+# the unary functions of eval: name -> f(argument, tol)
+_FUNCTIONS = {
+    "conj": lambda a, tol: a.conjugate(),
+    "prime": lambda a, tol: a.prime(),
+    "cre": lambda a, tol: a.cre(),
+    "cim": lambda a, tol: a.cim(),
+    "inv": inverse,
+    "pinv": lambda a, tol: mp_inverse(a, tol).pinv,
+}
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -160,25 +173,12 @@ class _Parser:
             self._expect("(")
             arg = self._expr()
             self._expect(")")
-            return self._apply(str(value), arg)
+            return _FUNCTIONS[value](arg, self.tol)
         if kind == "(":
             inner = self._expr()
             self._expect(")")
             return inner
         raise ParseError("expected a number, basis symbol or function", pos)
-
-    def _apply(self, name: str, arg: Multivector) -> Multivector:
-        if name == "conj":
-            return arg.conjugate()
-        if name == "prime":
-            return arg.prime()
-        if name == "cre":
-            return arg.cre()
-        if name == "cim":
-            return arg.cim()
-        if name == "inv":
-            return inverse(arg, self.tol)
-        return mp_inverse(arg, self.tol).pinv
 
 
 def parse_multivector(text: str, tol: float = DEFAULT_TOL) -> Multivector:
@@ -189,8 +189,10 @@ def parse_multivector(text: str, tol: float = DEFAULT_TOL) -> Multivector:
             data = json.loads(stripped, parse_int=float)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON literal: {exc.msg}", exc.pos) from None
+        # parse_int=float reads every JSON number as a float, so this test
+        # also refuses true and false (bool is a subclass of int)
         if not isinstance(data, list) or len(data) != 8 \
-                or not all(isinstance(x, (int, float)) for x in data):
+                or not all(type(x) is float for x in data):
             raise ParseError("JSON literal must be an array of 8 numbers", 0)
         # the array is flat, so its runs of non-separators are its 8 numbers
         for x, m in zip(data, re.finditer(r"[^\s\[\],]+", stripped)):
@@ -206,7 +208,7 @@ def parse_multivector(text: str, tol: float = DEFAULT_TOL) -> Multivector:
 
 
 def _g(x: float) -> str:
-    s = f"{x:.12g}"
+    s = f"{x:.{_DIGITS}g}"
     return "0" if s == "-0" else s
 
 
@@ -275,22 +277,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .solver import solve_ax, solve_axb, solve_xb  # loads numpy
+    from .solver import solve_axb  # loads numpy
 
     d = parse_multivector(args.d, args.tol)
-    if args.kind == "axb":
-        if args.a is None or args.b is None:
-            raise ParseError("solve axb needs both --a and --b", 0)
-        sol = solve_axb(parse_multivector(args.a, args.tol),
-                        parse_multivector(args.b, args.tol), d, args.tol)
-    elif args.kind == "ax":
-        if args.a is None:
-            raise ParseError("solve ax needs --a", 0)
-        sol = solve_ax(parse_multivector(args.a, args.tol), d, args.tol)
-    else:
-        if args.b is None:
-            raise ParseError("solve xb needs --b", 0)
-        sol = solve_xb(parse_multivector(args.b, args.tol), d, args.tol)
+    # a*x = d and x*b = d are a*x*b = d with e0 on the side the form omits
+    operands = []
+    for side in "ab":
+        text = getattr(args, side) if side in args.kind else "e0"
+        if text is None:
+            raise ParseError(f"solve {args.kind} needs --{side}", 0)
+        operands.append(parse_multivector(text, args.tol))
+    sol = solve_axb(*operands, d, args.tol)
 
     if args.json:
         _print_json({
@@ -372,13 +369,15 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    from .matrep import determinant, left_matrix  # loads numpy
+    from .oracle import exact_det, fleft_matrix  # exact, and loads no numpy
 
     a = parse_multivector(args.a, args.tol)
-    # det L(a) has degree 8, so it overflows long before a does: take it with
-    # the largest |coefficient| moved into [1/2, 1) and scale it back
-    e = math.frexp(max(map(abs, a.coeffs)))[1]
-    det = _ldexp(determinant(left_matrix(_scaled(a, -e))), 8 * e)
+    # the exact determinant, rounded once; it is P^2 >= 0, so past the
+    # double range it is +inf
+    try:
+        det = float(exact_det(fleft_matrix(a)))
+    except OverflowError:
+        det = math.inf
     p = _forms(a)[2]
     if args.json:
         _print_json({"det": det, "P": p, "P_squared": p * p})
@@ -472,20 +471,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAGS = {"-h", "--help", "--json", "--tol", "--seed", "--strict", "--side",
-          "--a", "--b", "--d", "--trials"}
-
-
 def _escape_negatives(argv: list[str]) -> list[str]:
-    # Literals like "-e7" would otherwise be eaten as options; a leading
-    # space keeps argparse happy and is stripped by the literal parser.
-    out = []
-    for token in argv:
-        if token != "--" and token.startswith("-") and token.split("=", 1)[0] not in _FLAGS:
-            out.append(" " + token)
-        else:
-            out.append(token)
-    return out
+    # Every option is spelled --name except -h, so any other token that
+    # starts with a single '-' is a literal such as "-e7"; a leading space
+    # keeps argparse from reading it as an option and the literal parser
+    # strips it.
+    return [" " + t if t[:1] == "-" and t[:2] != "--" and t != "-h" else t for t in argv]
 
 
 def main(argv: list[str] | None = None) -> int:

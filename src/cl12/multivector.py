@@ -62,6 +62,9 @@ __all__ = [
 #: Default relative tolerance for singularity / centrality decisions.
 DEFAULT_TOL = 1e-9
 
+#: Significant digits of every printed number (format_multivector, the CLI).
+_DIGITS = 12
+
 #: e_i * e_j = MUL_SIGN[i][j] * e_(i ^ j).
 MUL_SIGN = (
     (1, 1, 1, 1, 1, 1, 1, 1),
@@ -398,10 +401,10 @@ def eigenvalues(a: Multivector) -> EigenSpectrum:
     return EigenSpectrum(values=tuple(lams))
 
 
-def format_multivector(a: Multivector, digits: int = 12) -> str:
-    """Render ``a`` like ``0.25 e1 - 0.25 e2``.
+def format_multivector(a: Multivector) -> str:
+    """Render ``a`` like ``0.25 e1 - 0.25 e2``, to 12 (``_DIGITS``) significant digits.
 
-    Components more than ``digits`` orders of magnitude below the largest
+    Components more than ``_DIGITS`` orders of magnitude below the largest
     one are not displayed (they are below the printed precision anyway).
     The output reparses to the displayed value under the expression
     grammar of :mod:`cl12.cli`.
@@ -409,14 +412,14 @@ def format_multivector(a: Multivector, digits: int = 12) -> str:
     largest = max(abs(x) for x in a.coeffs)
     if largest == 0.0:
         return "0"
-    cutoff = largest * 10.0 ** (-digits)
+    cutoff = largest * 10.0 ** (-_DIGITS)
     parts: list[str] = []
     for t, c in enumerate(a.coeffs):
         if abs(c) < cutoff or c == 0.0:
             continue
         mag = abs(c)
-        body = f"{mag:.{digits}g}" if t == 0 else (
-            f"e{t}" if mag == 1.0 else f"{mag:.{digits}g} e{t}"
+        body = f"{mag:.{_DIGITS}g}" if t == 0 else (
+            f"e{t}" if mag == 1.0 else f"{mag:.{_DIGITS}g} e{t}"
         )
         if not parts:
             parts.append(body if c > 0 else f"-{body}")

@@ -44,6 +44,8 @@ def test_parse_json_array():
         parse_multivector("[1, 2]")
     with pytest.raises(ParseError):
         parse_multivector("[1, 2, 3, 4, 5, 6, 7, \"x\"]")
+    with pytest.raises(ParseError):
+        parse_multivector("[true, 0, 0, 0, 0, 0, 0, 0]")  # bool is a subclass of int
 
 
 def test_parse_expressions():
@@ -140,6 +142,9 @@ def test_eval_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "eval", "1++")
     assert code == 2
     assert "parse error" in err
+    # every option is spelled --name, so "--e7" is an option, not a literal
+    code, out, err = run(capsys, "eval", "--e7")
+    assert (code, out) == (2, "") and err.startswith("usage:")
 
 
 def test_literal_outside_the_double_range_is_a_parse_error(capsys):
@@ -310,6 +315,10 @@ def test_det_example(capsys):
     code, out, _ = run(capsys, "det", "1+e2+e4")
     assert code == 0
     assert out.strip() == "det = 81  (P = 9, P^2 = 81)"
+    # the exact determinant, rounded once
+    code, out, _ = run(capsys, "det", "--json", "1+e2+e4")
+    assert code == 0
+    assert json.loads(out)["det"] == 81.0
 
 
 def _strict_json(text):
@@ -349,6 +358,10 @@ def test_verify_small_run(capsys):
     assert code == 0
     assert out.splitlines()[-1] == "overall: PASS"
     assert any(line.startswith("multivector:") for line in out.splitlines())
+    # argparse takes an unambiguous prefix of an option for the option
+    abbreviated = run(capsys, "verify", "--tri", "1", "--se", "3")
+    assert abbreviated[0] == 0
+    assert abbreviated == run(capsys, "verify", "--trials", "1", "--seed", "3")
 
 
 def test_verify_rejects_zero_trials(capsys):
@@ -387,6 +400,9 @@ def test_large_tolerance(capsys):
     code, out, err = run(capsys, "eval", "--tol", "0.9", "pinv(e1)")
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == "e1"
+    abbreviated = run(capsys, "eval", "e1", "--to", "0.5")
+    assert abbreviated[0] == 0
+    assert abbreviated == run(capsys, "eval", "e1", "--tol", "0.5")
     for tol in ("1", "1.5", "nan"):
         code, out, err = run(capsys, "eval", "--tol", tol, "pinv(e1)")
         assert code == 2 and out == ""
@@ -473,7 +489,7 @@ def test_help_exits_zero(capsys):
 
 def test_numpy_stays_off_the_import_path():
     # numpy is loaded by the matrix representation and the solver only, on
-    # first use; `import cl12` and eval, eig and similar never load it
+    # first use; `import cl12` and eval, eig, similar and det never load it
     env = {**os.environ, "PYTHONPATH": str(Path(cl12.__file__).parents[1])}
 
     def python(*args):
@@ -500,7 +516,7 @@ else:
 """
     python("-c", script)
     for argv in (["eval", "(1+e2+e4) * inv(1+e2+e4)"], ["eig", "1-e1+e2+e3-e7"],
-                 ["similar", "e2", "e6"]):
+                 ["similar", "e2", "e6"], ["det", "1+e2+e4"]):
         # -X importtime lists every module the process imports on stderr
         imported = python("-X", "importtime", "-m", "cl12", *argv, "--json").stderr
         assert "numpy" not in imported, argv
