@@ -8,12 +8,12 @@ import numpy as np
 from cl12 import (
     K8,
     Multivector,
-    determinant,
     eigenvalues,
     left_matrix,
     right_matrix,
     vectorize,
 )
+from cl12 import oracle
 
 np.set_printoptions(linewidth=120)
 
@@ -35,7 +35,7 @@ print(f"L(prime(a)) == L(a)^T:         {np.array_equal(left_matrix(a.prime()), l
 print()
 
 f = a.functionals()
-print(f"det L(a) = {determinant(left_matrix(a)):g}, and P(a)^2 = {f.P ** 2:g}")
+print(f"det L(a) = {oracle.exact_det(left_matrix(a))}, and P(a)^2 = {f.P ** 2:g}")
 print()
 
 spectrum = eigenvalues(a)

@@ -44,7 +44,7 @@ from .similarity import (
 #: Public name -> the numpy-backed submodule that defines it.
 _LAZY = {
     **dict.fromkeys(
-        ("K8", "S8", "determinant", "devectorize", "left_matrix", "right_matrix", "vectorize"),
+        ("K8", "S8", "devectorize", "left_matrix", "right_matrix", "vectorize"),
         "matrep",
     ),
     **dict.fromkeys(("SolutionSet", "solve_ax", "solve_axb", "solve_xb"), "solver"),
@@ -83,7 +83,6 @@ __all__ = [
     "SolutionSet",
     "conjugate_by",
     "conjugation_matrix",
-    "determinant",
     "devectorize",
     "e0",
     "e1",

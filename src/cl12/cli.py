@@ -9,15 +9,17 @@ supports ``*`` (binding tighter than ``+`` and ``-``), parentheses and
 the unary functions conj(), prime(), cre(), cim(), inv() and pinv().
 Every option is spelled ``--name`` (or an unambiguous prefix of it)
 except ``-h``, so any other argument that starts with a single ``-`` is
-a literal such as ``-e7``.  ``det`` is the exact determinant of L(a),
-taken in the oracle and rounded once.
+a literal such as ``-e7``.  ``rep`` prints the oracle's exact L(a) or
+R(a), whose entries are coefficients of a, and ``det`` is the exact
+determinant of L(a), taken in the oracle and rounded once.
 
 Exit codes: 0 success, 1 domain error (singular input to inv(),
 unsolvable system under --strict, failed verification, no witness
 candidate invertible within --tol, a value that leaves the double range
 while the command runs), 2 parse or usage error (a literal number that
 is not a finite double, such as ``1e+999`` or a JSON ``Infinity``, is a
-parse error).
+parse error; so is an operand the solve form does not take, such as
+``--b`` for ``solve ax``).
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ from .multivector import (
     _check_tol,
     _ldexp,
     _reduced,
-    _scaled,
     _within,
     eigenvalues,
     format_multivector,
 )
-from .similarity import is_similar
+from .similarity import _reduced_pair, is_similar
 
 __all__ = ["ParseError", "parse_multivector", "main"]
 
@@ -283,10 +284,11 @@ def _cmd_solve(args) -> int:
     # a*x = d and x*b = d are a*x*b = d with e0 on the side the form omits
     operands = []
     for side in "ab":
-        text = getattr(args, side) if side in args.kind else "e0"
-        if text is None:
-            raise ParseError(f"solve {args.kind} needs --{side}", 0)
-        operands.append(parse_multivector(text, args.tol))
+        text = getattr(args, side)
+        if (side in args.kind) == (text is None):  # missing, or not taken
+            verb = "needs" if text is None else "takes no"
+            raise ParseError(f"solve {args.kind} {verb} --{side}", 0)
+        operands.append(parse_multivector("e0" if text is None else text, args.tol))
     sol = solve_axb(*operands, d, args.tol)
 
     if args.json:
@@ -318,11 +320,10 @@ def _cmd_similar(args) -> int:
     if verdict.similar:
         # checked on the pair reduced as is_similar reduces it and on the
         # witness reduced on its own, so no product leaves the double range
-        _, e, _ = _reduced(a if a.norm() >= b.norm() else b)
-        a, b = _scaled(a, -e), _scaled(b, -e)
+        a, b, e, scale = _reduced_pair(a, b)
         q, eq, _ = _reduced(verdict.witness)
         check = (q * a - b * q).norm()
-        ok = _within(check, args.tol, 8.0 * q.norm() * max(a.norm(), b.norm()))
+        ok = _within(check, args.tol, 8.0 * q.norm() * scale)
         check = _ldexp(check, e + eq)  # back to the input's scale
         if not ok:
             print(f"error: witness failed its defining equation (|qa - bq| = {check:g})",
@@ -344,12 +345,15 @@ def _cmd_similar(args) -> int:
 
 
 def _cmd_rep(args) -> int:
-    from .matrep import left_matrix, right_matrix  # loads numpy
+    from .oracle import fleft_matrix, fright_matrix  # loads no numpy
 
     a = parse_multivector(args.a, args.tol)
-    m = left_matrix(a) if args.side == "left" else right_matrix(a)
+    # every entry is 0 or one coefficient of a with a sign, so float() gives
+    # it back exactly
+    exact = fleft_matrix(a) if args.side == "left" else fright_matrix(a)
+    m = [[float(x) for x in row] for row in exact]
     if args.json:
-        _print_json({"side": args.side, "matrix": [list(row) for row in m]})
+        _print_json({"side": args.side, "matrix": m})
     else:
         _print_matrix(m)
     return 0

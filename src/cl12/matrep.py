@@ -31,7 +31,6 @@ __all__ = [
     "devectorize",
     "left_matrix",
     "right_matrix",
-    "determinant",
 ]
 
 K8 = np.diag([1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
@@ -76,11 +75,3 @@ def left_matrix(a: Multivector) -> np.ndarray:
 def right_matrix(a: Multivector) -> np.ndarray:
     """Matrix of x -> x*a acting on coefficient vectors."""
     return (vectorize(a) @ _RIGHT_FLAT).reshape(8, 8)
-
-
-def determinant(m: np.ndarray) -> float:
-    """Determinant via LU with partial pivoting (LAPACK)."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got shape {m.shape}")
-    return float(np.linalg.det(m))

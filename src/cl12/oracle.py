@@ -31,7 +31,10 @@ value is whole and a Fraction only where it is not.  The elementwise
 helpers (``fadd``, ``fscale``, ``ffunctionals``, ...) use plain Python
 arithmetic and may return a whole-valued Fraction when given Fractions.
 Nothing here checks its own results; :mod:`cl12.verify` does.  Intended
-for desk-scale verification, not bulk numerics.
+for desk-scale verification, not bulk numerics.  The module loads no
+numpy, so two CLI commands use it at run time: ``rep`` prints
+``fleft_matrix`` or ``fright_matrix`` and ``det`` takes ``exact_det`` of
+``fleft_matrix``.
 """
 
 from __future__ import annotations

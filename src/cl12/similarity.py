@@ -116,6 +116,21 @@ def witness_candidates(a: Multivector, b: Multivector) -> list[Multivector]:
     return list(_candidates(a.cim(), b.cim()))
 
 
+def _reduced_pair(a: Multivector, b: Multivector) -> tuple[Multivector, Multivector, int, float]:
+    """(a * 2^-e, b * 2^-e, e, the larger norm of the two after scaling).
+
+    A pair far from norm 1 is scaled by the power of two that reduces its
+    larger element, so neither the quadratic invariants nor a product of
+    the pair overflows or underflows.
+    """
+    a_norm, b_norm = a.norm(), b.norm()
+    _, e, _ = _reduced(a if a_norm >= b_norm else b)
+    if e:
+        a, b = _scaled(a, -e), _scaled(b, -e)
+        a_norm, b_norm = a.norm(), b.norm()
+    return a, b, e, max(a_norm, b_norm)
+
+
 def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> SimilarityResult:
     """Decide similarity and build an invertible witness q with q*a = b*q.
 
@@ -125,15 +140,8 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
     first of :func:`witness_candidates` that is not ``is_singular(tol)``;
     raises SingularElement when there is none.
     """
-    # N and T are quadratic: a pair far from norm 1 is first scaled by the
-    # power of two that reduces its larger element, so neither overflows
-    # or underflows; the witness is scaled back.
-    a_norm, b_norm = a.norm(), b.norm()
-    _, e, _ = _reduced(a if a_norm >= b_norm else b)
-    if e:
-        a, b = _scaled(a, -e), _scaled(b, -e)
-        a_norm, b_norm = a.norm(), b.norm()
-    scale = max(a_norm, b_norm)
+    # decided on the reduced pair; the witness is scaled back
+    a, b, e, scale = _reduced_pair(a, b)
 
     def agree(x, y) -> bool:
         return _within(max(map(abs, map(sub, x, y))), tol, scale)

@@ -164,9 +164,10 @@ def _suite_matrix_rep(trials: int, seed: int, tol: float) -> SuiteResult:
         a, b = random_multivector(rng), random_multivector(rng)
         la, lb = left_matrix(a), left_matrix(b)
         ra, rb = right_matrix(a), right_matrix(b)
-        la_exact = oracle.fleft_matrix(a)
-        res.check(np.array_equal(la, np.array(la_exact, dtype=float)),
-                  f"trial {n}: generated left matrix vs the oracle's")
+        la_exact, ra_exact = oracle.fleft_matrix(a), oracle.fright_matrix(a)
+        res.check(np.array_equal(la, np.array(la_exact, dtype=float))
+                  and np.array_equal(ra, np.array(ra_exact, dtype=float)),
+                  f"trial {n}: generated left and right matrices vs the oracle's")
         res.check(np.array_equal(left_matrix(a * b), la @ lb), f"trial {n}: L(ab) = L(a) L(b)")
         res.check(np.array_equal(right_matrix(a * b), rb @ ra), f"trial {n}: R(ab) = R(b) R(a)")
         res.check(np.array_equal(la @ rb, rb @ la), f"trial {n}: L and R commute")
@@ -187,18 +188,18 @@ def _suite_matrix_rep(trials: int, seed: int, tol: float) -> SuiteResult:
         res.check(np.array_equal(ra @ vectorize(b), vectorize(b * a)),
                   f"trial {n}: R acts as right product")
 
+        # exact: det L(a) is the constant coefficient of its characteristic
+        # polynomial, and P is a whole double on these integer inputs
         f = a.functionals()
-        det = float(np.linalg.det(la))
-        det_r = float(np.linalg.det(ra))
-        bound = tol * (1.0 + f.P * f.P)
-        res.check(abs(det - f.P * f.P) <= bound and abs(det_r - f.P * f.P) <= bound,
-                  f"trial {n}: det = P^2 (det={det:g}, P^2={f.P * f.P:g})")
+        pol = oracle.char_poly(la_exact)
+        det_r = oracle.exact_det(ra_exact)
+        res.check(pol[-1] == det_r == f.P * f.P,
+                  f"trial {n}: det = P^2 (det L={pol[-1]}, det R={det_r}, P^2={f.P * f.P:g})")
 
         spectrum = eigenvalues(a)
         c = a.coeffs
         quads = [complex(c[0], c[7]), complex(c[0], -c[7])]
         betas = [complex(f.N, 2 * f.T), complex(f.N, -2 * f.T)]
-        pol = oracle.char_poly(la_exact)
         pol_f = [float(x) for x in pol]
         for lam in spectrum.values:
             q_res = min(abs(lam * lam - 2 * lam * al + be) for al, be in zip(quads, betas))

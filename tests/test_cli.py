@@ -201,6 +201,11 @@ def test_solve_strict_unsolvable(capsys):
 def test_solve_missing_operand(capsys):
     code, _, err = run(capsys, "solve", "axb", "--a", "1+e1", "--d", "1")
     assert code == 2
+    # an operand the form does not take is a usage error too, not ignored
+    code, _, err = run(capsys, "solve", "ax", "--a", "e1", "--b", "e2", "--d", "1")
+    assert code == 2 and "takes no --b" in err
+    code, _, err = run(capsys, "solve", "xb", "--a", "e1", "--b", "e2", "--d", "1")
+    assert code == 2 and "takes no --a" in err
 
 
 def test_solve_json_schema(capsys):
@@ -489,7 +494,7 @@ def test_help_exits_zero(capsys):
 
 def test_numpy_stays_off_the_import_path():
     # numpy is loaded by the matrix representation and the solver only, on
-    # first use; `import cl12` and eval, eig, similar and det never load it
+    # first use; `import cl12` and eval, eig, similar, det and rep never load it
     env = {**os.environ, "PYTHONPATH": str(Path(cl12.__file__).parents[1])}
 
     def python(*args):
@@ -516,7 +521,8 @@ else:
 """
     python("-c", script)
     for argv in (["eval", "(1+e2+e4) * inv(1+e2+e4)"], ["eig", "1-e1+e2+e3-e7"],
-                 ["similar", "e2", "e6"], ["det", "1+e2+e4"]):
+                 ["similar", "e2", "e6"], ["det", "1+e2+e4"],
+                 ["rep", "1+e2", "--side", "right"]):
         # -X importtime lists every module the process imports on stderr
         imported = python("-X", "importtime", "-m", "cl12", *argv, "--json").stderr
         assert "numpy" not in imported, argv

@@ -6,7 +6,6 @@ from hypothesis import given
 
 from cl12 import (
     Multivector,
-    determinant,
     devectorize,
     e1,
     e2,
@@ -75,13 +74,6 @@ def test_faithfulness(a):
     # the verify suite draws distinct pairs and checks L(a - b) != 0; this
     # is the other side, equal operands with a zero difference
     assert np.array_equal(left_matrix(a - a), np.zeros((8, 8)))
-
-
-def test_determinant_examples():
-    assert determinant(np.eye(8)) == pytest.approx(1.0)
-    assert determinant(left_matrix(e1 + e2)) == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        determinant(np.eye(4))
 
 
 def _as_multiset(values):

@@ -92,6 +92,9 @@ def test_exact_det():
     assert oracle.exact_det([]) == 1 == oracle.char_poly([])[-1]
     assert oracle.exact_det([[0, 1], [1, 0]]) == -1
     assert oracle.exact_det([[Fraction(1, 2), 0], [0, 4]]) == 2
+    assert oracle.exact_det(oracle.fleft_matrix(e1 + e2)) == 0
+    with pytest.raises(ValueError, match="square"):
+        oracle.exact_det([[1, 0, 0], [0, 1, 0]])
     rng = random.Random(109)
     for _ in range(30):
         a = oracle.fleft_matrix(random_multivector(rng))
