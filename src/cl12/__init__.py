@@ -6,9 +6,10 @@ form a*x*b = d, similarity decisions with explicit witnesses, and an
 exact-rational oracle (:mod:`cl12.oracle`) that independently verifies
 every closed form.
 
-The names that need numpy (the matrix representation and the solver) are
-imported on first use, so ``import cl12`` and the closed forms built from
-the eight coefficients alone do not load numpy.
+The names of the matrix representation, the one part that needs numpy,
+are imported on first use, so ``import cl12``, the closed forms and the
+solver (which works through the 2x2 complex image of the algebra) do not
+load numpy.
 """
 
 import importlib
@@ -40,15 +41,10 @@ from .similarity import (
     is_similar,
     witness_candidates,
 )
+from .solver import SolutionSet, solve_ax, solve_axb, solve_xb
 
 #: Public name -> the numpy-backed submodule that defines it.
-_LAZY = {
-    **dict.fromkeys(
-        ("K8", "S8", "devectorize", "left_matrix", "right_matrix", "vectorize"),
-        "matrep",
-    ),
-    **dict.fromkeys(("SolutionSet", "solve_ax", "solve_axb", "solve_xb"), "solver"),
-}
+_LAZY = dict.fromkeys(("K8", "S8", "left_matrix", "right_matrix", "vectorize"), "matrep")
 
 
 def __getattr__(name):
@@ -83,7 +79,6 @@ __all__ = [
     "SolutionSet",
     "conjugate_by",
     "conjugation_matrix",
-    "devectorize",
     "e0",
     "e1",
     "e2",

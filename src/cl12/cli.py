@@ -18,8 +18,8 @@ unsolvable system under --strict, failed verification, no witness
 candidate invertible within --tol, a value that leaves the double range
 while the command runs), 2 parse or usage error (a literal number that
 is not a finite double, such as ``1e+999`` or a JSON ``Infinity``, is a
-parse error; so is an operand the solve form does not take, such as
-``--b`` for ``solve ax``).
+parse error; an operand the solve form does not take, such as ``--b``
+for ``solve ax``, or one it needs and lacks is a usage error).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .multivector import (
     format_multivector,
 )
 from .similarity import _reduced_pair, is_similar
+from .solver import solve_axb
 
 __all__ = ["ParseError", "parse_multivector", "main"]
 
@@ -278,17 +279,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .solver import solve_axb  # loads numpy
-
-    d = parse_multivector(args.d, args.tol)
     # a*x = d and x*b = d are a*x*b = d with e0 on the side the form omits
-    operands = []
-    for side in "ab":
-        text = getattr(args, side)
+    texts = [getattr(args, side) for side in "ab"]
+    for side, text in zip("ab", texts):
         if (side in args.kind) == (text is None):  # missing, or not taken
-            verb = "needs" if text is None else "takes no"
-            raise ParseError(f"solve {args.kind} {verb} --{side}", 0)
-        operands.append(parse_multivector("e0" if text is None else text, args.tol))
+            args.usage_error(f"{args.kind} {'needs' if text is None else 'takes no'} --{side}")
+    d = parse_multivector(args.d, args.tol)
+    operands = [parse_multivector("e0" if text is None else text, args.tol) for text in texts]
     sol = solve_axb(*operands, d, args.tol)
 
     if args.json:
@@ -448,7 +445,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b")
     p.add_argument("--d", required=True)
     p.add_argument("--strict", action="store_true", help="exit 1 when unsolvable")
-    p.set_defaults(func=_cmd_solve)
+    # argparse cannot say which operands a form takes; _cmd_solve checks,
+    # and reports a mismatch as this parser reports its own usage errors
+    p.set_defaults(func=_cmd_solve, usage_error=p.error)
 
     p = sub.add_parser("similar", parents=[common], help="decide similarity, produce a witness")
     p.add_argument("a")
@@ -488,10 +487,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_escape_negatives(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
+        return int(exc.code or 0)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

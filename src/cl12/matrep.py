@@ -28,7 +28,6 @@ __all__ = [
     "K8",
     "S8",
     "vectorize",
-    "devectorize",
     "left_matrix",
     "right_matrix",
 ]
@@ -58,13 +57,6 @@ _LEFT_FLAT, _RIGHT_FLAT = (m.reshape(8, 64) for m in _basis_matrices())
 def vectorize(a: Multivector) -> np.ndarray:
     """Coefficient vector of ``a`` as a length-8 float array."""
     return np.array(a.coeffs, dtype=float)
-
-
-def devectorize(v) -> Multivector:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (8,):
-        raise ValueError(f"expected shape (8,), got {v.shape}")
-    return Multivector(v)
 
 
 def left_matrix(a: Multivector) -> np.ndarray:

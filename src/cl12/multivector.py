@@ -24,6 +24,19 @@ exactly like the loop, sign of zero included, and never holds -0.0: its
 result skips the constructor's normalization and is only checked for
 finiteness.
 
+The algebra is the algebra M2(C) of 2x2 complex matrices.  The map
+
+    e1 -> [[1, 0], [0, -1]],   e2 -> [[0, i], [i, 0]],   e4 -> [[0, 1], [-1, 0]]
+
+(sigma_z, i*sigma_x, i*sigma_y), with every other blade sent to the
+product of its generators in index order, is an isomorphism; it sends e7
+to -i times the identity.  ``_to_m2`` and ``_from_m2`` carry it out.
+Under it the prime involution is the conjugate transpose, det = N - 2T*i
+and so P = |det|^2, and the blade images E_t satisfy
+Re tr(E_s^H E_t) = 2 if s = t, else 0: the coefficient inner product is
+half the real Frobenius one.  The ``verify`` suites check the map
+against the blade table.
+
 The closed-form eigenvalues of the left matrix L(a) (``eigenvalues``) are
 built from these coefficients and the scalar forms alone, so they live
 here and need no matrix.
@@ -362,6 +375,26 @@ def _reduced(a: Multivector) -> tuple[Multivector, int, float]:
     e = math.frexp(max(map(abs, a._c)))[1]
     r = _scaled(a, -e)
     return r, e, sum(map(mul, r._c, r._c))
+
+
+def _to_m2(a: Multivector) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The 2x2 complex image of ``a`` (the map in the module docstring), by rows."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = a._c
+    return (
+        (complex(c0 + c1, -(c6 + c7)), complex(c4 + c5, c2 + c3)),
+        (complex(c5 - c4, c2 - c3), complex(c0 - c1, c6 - c7)),
+    )
+
+
+def _from_m2(m) -> Multivector:
+    """The element whose 2x2 image is ``m`` (rows of complex numbers)."""
+    (m00, m01), (m10, m11) = m
+    return Multivector((
+        (m00.real + m11.real) / 2, (m00.real - m11.real) / 2,
+        (m01.imag + m10.imag) / 2, (m01.imag - m10.imag) / 2,
+        (m01.real - m10.real) / 2, (m01.real + m10.real) / 2,
+        (m11.imag - m00.imag) / 2, -(m00.imag + m11.imag) / 2,
+    ))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ When they do, u = cim(a) and v = cim(b) have equal central squares, so
 every q = v*p + p*u solves q*a = b*q.  The witness is the first
 invertible candidate with p = e0, e1, e2, e3, and one of them always is:
 
-* Cl(1,2) is M2(C), with e7 -> i and P(x) = |det x|^2; e0..e3 are a
-  C-basis, orthogonal for the trace form.  p = e_t*e7 = +-e_(t^7) only
+* Cl(1,2) is M2(C) under the map stated in :mod:`cl12.multivector`,
+  with e7 -> -i and P(x) = |det x|^2; e0..e3 are a C-basis, orthogonal
+  for the trace form.  p = e_t*e7 = +-e_(t^7) only
   multiplies candidate t by the central unit e7, and P(x*e7) = P(x), so
   e4..e7 add nothing.
 * u and v are nonzero and traceless.  If u^2 = v^2 = 0, u = x1 y1^T and

@@ -4,32 +4,55 @@ One code path covers every invertibility mix: with p = pinv(a) and
 q = pinv(b), the equation is solvable iff a*p*d*q*b equals d, a particular
 solution is p*d*q, and the full solution set is
 
-    p*d*q + { y - (p*a)*y*(b*q) : y in Cl(1,2) },
+    p*d*q + { y - (p*a)*y*(b*q) : y in Cl(1,2) }.
 
-the second summand being the range of the map with matrix
+The homogeneous part comes in closed form through the 2x2 complex image
+of the algebra (the map of :mod:`cl12.multivector`).  There p*a and b*q
+become Hermitian projectors A and B, since the prime involution becomes
+the conjugate transpose.  Take an orthonormal eigenbasis of C^2 for each:
+the standard basis for an invertible operand (eigenvalues 1, 1) and for
+zero (0, 0); for a singular nonzero one (rank one, A = v v^H) the unit
+vector v read off the column with the larger diagonal entry, eigenvalue
+1, and w = (-conj(v2), conj(v1)), eigenvalue 0.  For eigenvectors v of A
+(eigenvalue l) and u of B (eigenvalue m), y = v u^H gives
+y - A y B = (1 - l*m) y, so the homogeneous solutions are spanned by
+v u^H and i v u^H over the pairs with l*m = 0.  These are orthogonal for
+Re tr(X^H Y), which is twice the coefficient inner product, so their
+images scaled by sqrt(2) are an orthonormal basis.  Its size is read off
+the two kinds alone (rows: a, columns: b):
 
-    M = I - L(p*a) @ R(b*q).
-
-Both p*a and b*q are fixed by the prime involution, so L(p*a) and R(b*q)
-are commuting symmetric idempotents and M is the orthogonal projector onto
-the kernel of L(a) @ R(b).  Its eigenvalues are 0 and 1, so the
-eigenvectors of ``np.linalg.eigh(M)`` with eigenvalue above 1/2 are an
-orthonormal basis of the homogeneous solutions.  When a and b are both
-invertible M vanishes, nothing is built, and the particular solution is
-the unique one.
+                  invertible  singular  zero
+    invertible         0           4        8
+    singular           4           6        8
+    zero               8           8        8
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .inverse import MPKind, mp_inverse
-from .matrep import devectorize, left_matrix, right_matrix
-from .multivector import DEFAULT_TOL, Multivector, _ldexp, _reduced, _scaled, _within
+from .multivector import (
+    DEFAULT_TOL,
+    Multivector,
+    _from_m2,
+    _ldexp,
+    _reduced,
+    _scaled,
+    _to_m2,
+    _within,
+)
 
 __all__ = ["SolutionSet", "solve_axb", "solve_ax", "solve_xb"]
+
+_SQRT2 = math.sqrt(2.0)
+_STANDARD = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
+# (eigenvalue, unit vector) pairs of the projector's image, per kind
+_EIGENBASIS = {
+    MPKind.INVERTIBLE: tuple((1, e) for e in _STANDARD),
+    MPKind.ZERO: tuple((0, e) for e in _STANDARD),
+}
 
 
 @dataclass(frozen=True)
@@ -38,11 +61,13 @@ class SolutionSet:
 
     ``particular`` is None when unsolvable.  ``hom_basis`` is an
     orthonormal basis (as multivectors) of the homogeneous solution space,
-    reported for unsolvable systems too; ``dim`` is its size.  ``residual``
-    is the 2-norm of a*x*b - d at the candidate solution, which for an
-    unsolvable system equals the least-squares residual of the vectorized
-    8x8 system.  The system is solvable when the residual is at most
-    tol * (|a| |x| |b| + |d|), a bound that scales with the equation.
+    reported for unsolvable systems too; ``dim`` is its size, which the
+    kinds of a and b decide (the table in the module docstring).
+    ``residual`` is the 2-norm of a*x*b - d at the candidate solution,
+    which for an unsolvable system equals the least-squares residual of
+    the vectorized 8x8 system.  The system is solvable when the residual
+    is at most tol * (|a| |x| |b| + |d|), a bound that scales with the
+    equation.
     """
 
     solvable: bool
@@ -50,6 +75,19 @@ class SolutionSet:
     hom_basis: list[Multivector] = field(default_factory=list)
     dim: int = 0
     residual: float = 0.0
+
+
+def _eigenbasis(kind: MPKind, x: Multivector, y: Multivector):
+    """Orthonormal (eigenvalue, vector) pairs of C^2 for the image of the
+    projector x*y, where ``kind`` is the kind of the operand in it."""
+    if kind in _EIGENBASIS:
+        return _EIGENBASIS[kind]
+    # rank one: the image is v v^H, and column j is v * conj(v_j)
+    (m00, m01), (m10, m11) = _to_m2(x * y)
+    c0, c1 = (m00, m10) if m00.real >= m11.real else (m01, m11)
+    r = math.hypot(abs(c0), abs(c1))
+    v0, v1 = c0 / r, c1 / r
+    return (1, (v0, v1)), (0, (-v1.conjugate(), v0.conjugate()))
 
 
 def solve_axb(a: Multivector, b: Multivector, d: Multivector,
@@ -64,12 +102,17 @@ def solve_axb(a: Multivector, b: Multivector, d: Multivector,
     x0 = p * d * q
     residual = (a * x0 * b - d).norm()
     solvable = _within(residual, tol, a.norm() * x0.norm() * b.norm() + d.norm())
-    if ma.kind is MPKind.INVERTIBLE and mb.kind is MPKind.INVERTIBLE:
-        hom = []
-    else:
-        projector = np.eye(8) - left_matrix(p * a) @ right_matrix(b * q)
-        values, vectors = np.linalg.eigh(projector)
-        hom = [devectorize(vectors[:, k]) for k in range(8) if values[k] > 0.5]
+    hom = []
+    right = _eigenbasis(mb.kind, b, q)
+    for lam, (v0, v1) in _eigenbasis(ma.kind, p, a):
+        for mu, (u0, u1) in right:
+            if lam and mu:
+                continue
+            # sqrt(2) v u^H and its multiple by i
+            w0, w1 = _SQRT2 * u0.conjugate(), _SQRT2 * u1.conjugate()
+            m = ((v0 * w0, v0 * w1), (v1 * w0, v1 * w1))
+            hom.append(_from_m2(m))
+            hom.append(_from_m2(tuple((1j * z, 1j * w) for z, w in m)))
     return SolutionSet(
         solvable=solvable,
         particular=_scaled(x0, ed - ea - eb) if solvable else None,

@@ -17,7 +17,16 @@ import numpy as np
 from . import oracle
 from .inverse import inverse, mp_inverse
 from .matrep import K8, S8, left_matrix, right_matrix, vectorize
-from .multivector import BASIS, DEFAULT_TOL, MUL_SIGN, Multivector, _within, eigenvalues
+from .multivector import (
+    BASIS,
+    DEFAULT_TOL,
+    MUL_SIGN,
+    Multivector,
+    _from_m2,
+    _to_m2,
+    _within,
+    eigenvalues,
+)
 from .similarity import (
     SimilarityReason,
     conjugate_by,
@@ -91,6 +100,11 @@ def _mixed(rng: random.Random) -> Multivector:
 
 def _feq(a: Multivector, b) -> bool:
     return oracle.fvec(a) == oracle.fvec(b)
+
+
+def _m2_mul(x, y):
+    """Product of two 2x2 complex matrices given by rows."""
+    return tuple(tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)) for i in range(2))
 
 
 # -- suites -----------------------------------------------------------------
@@ -195,6 +209,16 @@ def _suite_matrix_rep(trials: int, seed: int, tol: float) -> SuiteResult:
         det_r = oracle.exact_det(ra_exact)
         res.check(pol[-1] == det_r == f.P * f.P,
                   f"trial {n}: det = P^2 (det L={pol[-1]}, det R={det_r}, P^2={f.P * f.P:g})")
+
+        # the 2x2 complex image; exact, as every entry is a Gaussian integer
+        ma = _to_m2(a)
+        res.check(_to_m2(a * b) == _m2_mul(ma, _to_m2(b)) and _from_m2(ma) == a,
+                  f"trial {n}: 2x2 image is an isomorphism (M(ab) = M(a) M(b), inverted)")
+        res.check(_to_m2(a.prime()) == tuple(zip(*(map(complex.conjugate, row) for row in ma))),
+                  f"trial {n}: prime maps to the conjugate transpose")
+        det = ma[0][0] * ma[1][1] - ma[0][1] * ma[1][0]
+        res.check(det == complex(f.N, -2.0 * f.T) and f.P == det.real ** 2 + det.imag ** 2,
+                  f"trial {n}: det of the 2x2 image is N - 2T i, so P = |det|^2 (det = {det})")
 
         spectrum = eigenvalues(a)
         c = a.coeffs

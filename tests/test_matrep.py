@@ -1,12 +1,10 @@
 import random
 
 import numpy as np
-import pytest
 from hypothesis import given
 
 from cl12 import (
     Multivector,
-    devectorize,
     e1,
     e2,
     e3,
@@ -40,16 +38,6 @@ EX21_MATRIX = np.array(
 def test_vectorize_examples():
     assert np.array_equal(vectorize(e3), np.eye(8)[3])
     assert np.array_equal(vectorize(EX21), np.array([1, -1, 1, 1, 0, 0, 0, -1.0]))
-
-
-@given(multivectors)
-def test_vectorize_round_trip(a):
-    assert devectorize(vectorize(a)) == a
-
-
-def test_devectorize_validates():
-    with pytest.raises(ValueError):
-        devectorize(np.zeros(7))
 
 
 def test_left_matrix_examples():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -74,22 +75,43 @@ def _draw_mix(rng, mix):
     return draw[left](rng), draw[right](rng)
 
 
+def _variants(rng, a, b, d):
+    """(a, b, d, kernel pair): the draw, then both operands scaled by 2^k
+    with k in [-900, 900], then every nonzero operand moved by 2^-40 along
+    a blade, each with the pair whose exact kernel the basis must span.
+
+    Scaling changes no kernel, and the scaled operands stay dyadic, so the
+    oracle reads them exactly.  A moved singular operand is invertible in
+    exact arithmetic but far inside the singular tolerance, so the basis
+    must span the kernel of the operands it was moved from.
+    """
+    yield a, b, d, (a, b)
+    scaled = [x * 2.0 ** rng.randint(-900, 900) for x in (a, b)]
+    yield *scaled, Multivector.zero(), scaled
+    moved = [x if x.is_zero() else x + 2.0 ** -40 * Multivector.basis(rng.randrange(8))
+             for x in (a, b)]
+    yield *moved, Multivector.zero(), (a, b)
+
+
 @pytest.mark.parametrize("mix", sorted(MIX_DIMS))
 def test_homogeneous_space_is_the_exact_kernel(mix):
     rng = random.Random(mix)
     for _ in range(40):
-        a, b = _draw_mix(rng, mix)
-        sol = solve_axb(a, b, random_multivector(rng))
-        exact = _oracle_system(a, b, Multivector.zero()).nullspace
-        assert sol.dim == MIX_DIMS[mix] == len(exact) == len(sol.hom_basis)
-        if sol.dim == 0:
-            assert sol.hom_basis == []
-            continue
-        basis = np.array([vectorize(h) for h in sol.hom_basis])
-        assert np.allclose(basis @ basis.T, np.eye(sol.dim), rtol=0.0, atol=1e-12)
-        # the basis spans the exact kernel, not just a space of its size
-        kernel = np.array([[float(x) for x in v] for v in exact])
-        assert np.linalg.matrix_rank(np.vstack([basis, kernel]), tol=1e-9) == sol.dim
+        for a, b, d, pair in _variants(rng, *_draw_mix(rng, mix), random_multivector(rng)):
+            sol = solve_axb(a, b, d)
+            exact = _oracle_system(*pair, Multivector.zero()).nullspace
+            assert sol.dim == MIX_DIMS[mix] == len(exact) == len(sol.hom_basis)
+            if sol.dim == 0:
+                assert sol.hom_basis == []
+                continue
+            assert not any(math.copysign(1.0, x) < 0.0
+                           for h in sol.hom_basis for x in h.coeffs if x == 0.0)
+            basis = np.array([vectorize(h) for h in sol.hom_basis])
+            assert np.allclose(basis @ basis.T, np.eye(sol.dim), rtol=0.0, atol=1e-12)
+            # the basis spans the exact kernel, not just a space of its size
+            kernel = np.array([[float(x) for x in v] for v in exact])
+            kernel /= np.linalg.norm(kernel, axis=1, keepdims=True)
+            assert np.linalg.matrix_rank(np.vstack([basis, kernel]), tol=1e-9) == sol.dim
 
 
 def test_zero_equation():
