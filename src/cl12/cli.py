@@ -37,6 +37,7 @@ from .multivector import (
     _DIGITS,
     _check_tol,
     _ldexp,
+    _ntp,
     _reduced,
     _within,
     eigenvalues,
@@ -246,8 +247,8 @@ def _forms(a: Multivector) -> tuple[float, float, float]:
     """N, T and P of ``a``, taken on ``_reduced(a)`` and scaled back (N and T
     have degree 2, P degree 4), so they overflow only past the double range."""
     r, e, _ = _reduced(a)
-    f = r.functionals()
-    return _ldexp(f.N, 2 * e), _ldexp(f.T, 2 * e), _ldexp(f.P, 4 * e)
+    n, t, p = _ntp(r.coeffs)
+    return _ldexp(n, 2 * e), _ldexp(t, 2 * e), _ldexp(p, 4 * e)
 
 
 def _mv_json(m: Multivector) -> dict:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .multivector import DEFAULT_TOL, Functionals, Multivector, _reduced, _scaled, _within
+from .multivector import DEFAULT_TOL, Multivector, _ntp, _reduced, _scaled, _within
 
 __all__ = ["SingularElement", "MPKind", "MPResult", "inverse", "mp_inverse"]
 
@@ -47,22 +47,25 @@ class MPResult:
     condition: float
 
 
-def _invert(a: Multivector, f: Functionals, s: float, tol: float) -> Multivector | None:
-    """Classical inverse of ``a`` from its functionals ``f`` and coefficient
-    square sum ``s``; None when P <= tol * s^2."""
-    if _within(f.P, tol, s * s):
-        return None
-    central = Multivector((f.N / f.P, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0 * f.T / f.P))
-    return central * a.conjugate()
+def _invert(c: tuple[float, ...], n: float, t: float, p: float) -> Multivector:
+    """((N - 2*T*e7) / P) * conjugate(a) from a's coefficients ``c`` and N, T, P.
+    e7 * e_j = MUL_SIGN[7][j] e_(7^j), and the conjugate negates e1..e6."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
+    g0, g7 = n / p, -2.0 * t / p
+    return Multivector._from_floats((
+        0.0 + g0 * c0 - g7 * c7, 0.0 - g0 * c1 + g7 * c6, 0.0 - g0 * c2 + g7 * c5,
+        0.0 - g0 * c3 + g7 * c4, 0.0 - g0 * c4 - g7 * c3, 0.0 - g0 * c5 - g7 * c2,
+        0.0 - g0 * c6 - g7 * c1, 0.0 + g0 * c7 + g7 * c0,
+    ))
 
 
 def inverse(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     """Two-sided inverse of ``a``; raises SingularElement when P <= tol * s^2."""
     r, e, s = _reduced(a)
-    x = _invert(r, r.functionals(), s, tol)
-    if x is None:
+    n, t, p = _ntp(r.coeffs)
+    if _within(p, tol, s * s):
         raise SingularElement(f"P(a) <= tol * s^2 with tol = {tol:g}: a is singular")
-    return _scaled(x, -e)
+    return _scaled(_invert(r.coeffs, n, t, p), -e)
 
 
 def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
@@ -75,10 +78,10 @@ def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
     ValueError.
     """
     r, e, s = _reduced(a)
-    f = r.functionals()
-    x = _invert(r, f, s, tol)
-    if x is not None:
-        return MPResult(pinv=_scaled(x, -e), kind=MPKind.INVERTIBLE, condition=f.P / (s * s))
+    c0, c1, c2, c3, c4, c5, c6, c7 = c = r.coeffs
+    n, t, p = _ntp(c)
+    if not _within(p, tol, s * s):
+        return MPResult(_scaled(_invert(c, n, t, p), -e), MPKind.INVERTIBLE, p / (s * s))
     if s == 0.0:  # only zero reduces to a zero square sum
         return MPResult(pinv=Multivector.zero(), kind=MPKind.ZERO, condition=0.0)
     # K > 0 here.  Exactly: K = (s + N) / 2 and N^2 <= P <= tol * s^2 give
@@ -86,8 +89,6 @@ def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
     # zeroes every even-index square, so N sums the same squares in the
     # same order as s and equals -s; then P >= s*s > tol*s*s, and a took
     # the invertible branch above.
-    return MPResult(
-        pinv=_scaled(r.prime() / (4.0 * f.K), -e),
-        kind=MPKind.SINGULAR_NONZERO,
-        condition=f.P / (s * s),
-    )
+    d = 4.0 * (c0 * c0 + c2 * c2 + c4 * c4 + c6 * c6)  # 4K; x = a.prime() / (4K)
+    x = Multivector._from_floats(tuple([y / d + 0.0 for y in (c0, c1, -c2, c3, -c4, c5, -c6, -c7)]))
+    return MPResult(_scaled(x, -e), MPKind.SINGULAR_NONZERO, p / (s * s))

@@ -22,7 +22,11 @@ round-to-nearest a running sum that starts at +0.0 is never -0.0, and
 adding +-0.0 to it changes nothing.  So the generated product rounds
 exactly like the loop, sign of zero included, and never holds -0.0: its
 result skips the constructor's normalization and is only checked for
-finiteness.
+finiteness.  The closed forms are straight-line tuple code by the same
+rule, so on the element ``_reduced`` returns each is bit-identical to its
+Multivector-level formula: the inverse ((N - 2T*e7)/P) * a.conjugate() is
+0.0 +- g0*c_k +- g7*c_(7^k), that product's nonzero terms in its order;
+``+``, ``-`` and a.prime()/(4K) add 0.0 last; no result holds -0.0.
 
 The algebra is the algebra M2(C) of 2x2 complex matrices.  The map
 
@@ -51,8 +55,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import mul, sub
-from typing import Iterable
+from operator import attrgetter, mul, sub
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "DEFAULT_TOL",
@@ -77,6 +81,7 @@ DEFAULT_TOL = 1e-9
 
 #: Significant digits of every printed number (format_multivector, the CLI).
 _DIGITS = 12
+_REAL_IMAG = attrgetter("real", "imag")  # sort key of the eigenvalues
 
 #: e_i * e_j = MUL_SIGN[i][j] * e_(i ^ j).
 MUL_SIGN = (
@@ -91,9 +96,9 @@ MUL_SIGN = (
 )
 
 
-@dataclass(frozen=True)
-class Functionals:
-    """The seven scalar forms attached to a multivector.
+class Functionals(NamedTuple):
+    """The seven scalar forms attached to a multivector, as a NamedTuple
+    (like the oracle's ``FracFunctionals``).
 
     N and T are the quadratic forms whose combination P = N^2 + 4*T^2
     decides invertibility (P != 0) and equals the fourth root of the
@@ -133,6 +138,14 @@ def _generate_mul_coeffs():
 
 #: _mul_coeffs(a, b) -> the eight coefficients of a*b as a tuple of floats.
 _mul_coeffs = _generate_mul_coeffs()
+
+
+def _ntp(c: tuple[float, ...]) -> tuple[float, float, float]:
+    """(N, T, P) of the element with coefficients ``c``."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
+    n = c0 * c0 - c1 * c1 + c2 * c2 - c3 * c3 + c4 * c4 - c5 * c5 + c6 * c6 - c7 * c7
+    t = c0 * c7 + c2 * c5 - c1 * c6 - c3 * c4
+    return n, t, n * n + 4.0 * t * t
 
 
 class Multivector:
@@ -193,15 +206,15 @@ class Multivector:
     def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector(x + y for x, y in zip(self._c, other._c))
+        return Multivector._from_floats(tuple([x + y + 0.0 for x, y in zip(self._c, other._c)]))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector(x - y for x, y in zip(self._c, other._c))
+        return Multivector._from_floats(tuple([x - y + 0.0 for x, y in zip(self._c, other._c)]))
 
     def __neg__(self) -> "Multivector":
-        return Multivector(-x for x in self._c)
+        return Multivector._from_floats(tuple([-x + 0.0 for x in self._c]))
 
     def __pos__(self) -> "Multivector":
         return self
@@ -278,18 +291,11 @@ class Multivector:
     # -- scalar forms ----------------------------------------------------
 
     def functionals(self) -> Functionals:
-        c = self._c
-        n = (
-            c[0] * c[0] - c[1] * c[1] + c[2] * c[2] - c[3] * c[3]
-            + c[4] * c[4] - c[5] * c[5] + c[6] * c[6] - c[7] * c[7]
-        )
-        t = c[0] * c[7] + c[2] * c[5] - c[1] * c[6] - c[3] * c[4]
-        p = n * n + 4.0 * t * t
-        t1 = c[0] * c[1] - c[2] * c[3] - c[4] * c[5] + c[6] * c[7]
-        t3 = c[0] * c[3] + c[1] * c[2] + c[4] * c[7] + c[5] * c[6]
-        t5 = c[0] * c[5] + c[1] * c[4] - c[2] * c[7] - c[3] * c[6]
-        k = c[0] * c[0] + c[2] * c[2] + c[4] * c[4] + c[6] * c[6]
-        return Functionals(N=n, T=t, P=p, T1=t1, T3=t3, T5=t5, K=k)
+        c0, c1, c2, c3, c4, c5, c6, c7 = c = self._c
+        return Functionals._make(_ntp(c) + (
+            c0 * c1 - c2 * c3 - c4 * c5 + c6 * c7, c0 * c3 + c1 * c2 + c4 * c7 + c5 * c6,
+            c0 * c5 + c1 * c4 - c2 * c7 - c3 * c6, c0 * c0 + c2 * c2 + c4 * c4 + c6 * c6,
+        ))
 
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector (``math.hypot``: no
@@ -314,7 +320,7 @@ class Multivector:
         be in [0, 1).
         """
         r, _, s = _reduced(self)
-        return _within(r.functionals().P, tol, s * s)
+        return _within(_ntp(r._c)[2], tol, s * s)
 
     def isclose(self, other: "Multivector", tol: float = DEFAULT_TOL) -> bool:
         """Componentwise comparison: every |x - y| <= tol * (1 + the larger
@@ -421,14 +427,11 @@ def eigenvalues(a: Multivector) -> EigenSpectrum:
     a part past the double range comes back infinite.
     """
     r, e, _ = _reduced(a)
-    c = r.coeffs
-    f = r.functionals()
-    alpha = complex(c[0], c[7])
-    beta = complex(f.N, 2.0 * f.T)
-    root = cmath.sqrt(alpha * alpha - beta)
-    lams = [alpha + root, alpha - root]
-    lams += [lam.conjugate() for lam in lams]
-    lams.sort(key=lambda z: (z.real, z.imag))
+    n, t, _ = _ntp(r._c)
+    alpha = complex(r._c[0], r._c[7])
+    root = cmath.sqrt(alpha * alpha - complex(n, 2.0 * t))
+    l0, l1 = alpha + root, alpha - root
+    lams = sorted((l0, l1, l0.conjugate(), l1.conjugate()), key=_REAL_IMAG)
     if e:
         lams = [complex(_ldexp(z.real, e), _ldexp(z.imag, e)) for z in lams]
     return EigenSpectrum(values=tuple(lams))

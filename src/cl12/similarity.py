@@ -46,7 +46,7 @@ from operator import sub
 from typing import TYPE_CHECKING
 
 from .inverse import SingularElement, inverse
-from .multivector import BASIS, DEFAULT_TOL, Multivector, _reduced, _scaled, _within
+from .multivector import BASIS, DEFAULT_TOL, Multivector, _ntp, _reduced, _scaled, _within
 
 __all__ = [
     "SimilarityReason",
@@ -157,13 +157,13 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
     if a_central != b_central:
         return SimilarityResult(False, None, SimilarityReason.CENTRAL_UNEQUAL)
 
-    fa = a.functionals()
-    fb = b.functionals()
+    na, ta, _ = _ntp(a.coeffs)
+    nb, tb, _ = _ntp(b.coeffs)
     if not agree(a.coeffs[::7], b.coeffs[::7]):
         return SimilarityResult(False, None, SimilarityReason.CRE_MISMATCH)
-    if not _within(fa.N - fb.N, tol, scale * scale):
+    if not _within(na - nb, tol, scale * scale):
         return SimilarityResult(False, None, SimilarityReason.N_MISMATCH)
-    if not _within(fa.T - fb.T, tol, scale * scale):
+    if not _within(ta - tb, tol, scale * scale):
         return SimilarityResult(False, None, SimilarityReason.T_MISMATCH)
 
     ca = a.cim()

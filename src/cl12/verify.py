@@ -293,6 +293,10 @@ def _suite_solver(trials: int, seed: int, tol: float) -> SuiteResult:
                   f"trial {n}: solvable flag vs exact solve")
         res.check(sol.dim == len(exact.nullspace),
                   f"trial {n}: homogeneous dimension {sol.dim} vs exact {len(exact.nullspace)}")
+        hb = np.array([h.coeffs for h in sol.hom_basis]).reshape(-1, 8)
+        res.check(all(_within((a * h * b).norm(), tol, a.norm() * b.norm()) for h in sol.hom_basis)
+                  and _within(np.abs(hb @ hb.T - np.eye(len(hb))).max(initial=0.0), tol, 1.0),
+                  f"trial {n}: homogeneous basis solves a*x*b = 0 and is orthonormal")
 
         p = mp_inverse(a, tol).pinv
         q = mp_inverse(b, tol).pinv

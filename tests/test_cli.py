@@ -392,7 +392,7 @@ def test_verify_json(capsys):
         ("multivector", 3201, 0),
         ("matrix-rep", 4600, 0),
         ("inverse", 1704, 0),
-        ("solver", 1100, 0),
+        ("solver", 1300, 0),
         ("similarity", 1600, 0),
         ("oracle", 1901, 0),
     ]

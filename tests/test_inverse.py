@@ -1,3 +1,7 @@
+import cmath
+import importlib
+import math
+import operator
 import random
 
 import pytest
@@ -11,10 +15,13 @@ from cl12 import (
     e1,
     e2,
     e4,
+    eigenvalues,
     inverse,
     mp_inverse,
 )
-from support import random_invertible, random_nonzero_mixed
+from cl12 import multivector
+from cl12.multivector import _ldexp, _reduced, _scaled, _within
+from support import random_invertible, random_nonzero_mixed, random_singular
 
 
 def test_inverse_examples():
@@ -57,19 +64,41 @@ def test_mp_inverse_cases():
     assert inv.condition == pytest.approx(1.0)  # P = 9, norm^4 = 9
 
 
+def _functionals_reference(a):
+    # N, T, P, T1, T3, T5, K written out on indexed coefficients: the
+    # operations, in their order, that the tuple kernels must round like
+    c = a.coeffs
+    n = (
+        c[0] * c[0] - c[1] * c[1] + c[2] * c[2] - c[3] * c[3]
+        + c[4] * c[4] - c[5] * c[5] + c[6] * c[6] - c[7] * c[7]
+    )
+    t = c[0] * c[7] + c[2] * c[5] - c[1] * c[6] - c[3] * c[4]
+    p = n * n + 4.0 * t * t
+    t1 = c[0] * c[1] - c[2] * c[3] - c[4] * c[5] + c[6] * c[7]
+    t3 = c[0] * c[3] + c[1] * c[2] + c[4] * c[7] + c[5] * c[6]
+    t5 = c[0] * c[5] + c[1] * c[4] - c[2] * c[7] - c[3] * c[6]
+    k = c[0] * c[0] + c[2] * c[2] + c[4] * c[4] + c[6] * c[6]
+    return n, t, p, t1, t3, t5, k
+
+
+def _central_inverse(a, n, t, p):
+    # ((N - 2T e7) / P) * a.conjugate() through Multivector objects
+    central = Multivector((n / p, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0 * t / p))
+    return central * a.conjugate()
+
+
 def _mp_inverse_reference(a, tol=1e-9):
     # mp_inverse as it read before it shared one functionals() call:
     # is_singular and inverse each recompute P and the square sum.
     if a.is_zero():
         return MPResult(pinv=Multivector.zero(), kind=MPKind.ZERO, condition=0.0)
-    f = a.functionals()
+    n, t, p, _, _, _, k = _functionals_reference(a)
     s = sum(x * x for x in a.coeffs)
-    condition = f.P / (s * s)
-    if not a.is_singular(tol):
-        g = a.functionals()
-        central = Multivector((g.N / g.P, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0 * g.T / g.P))
-        return MPResult(pinv=central * a.conjugate(), kind=MPKind.INVERTIBLE, condition=condition)
-    return MPResult(pinv=a.prime() / (4.0 * f.K), kind=MPKind.SINGULAR_NONZERO, condition=condition)
+    condition = p / (s * s)
+    if not _within(p, tol, s * s):
+        return MPResult(pinv=_central_inverse(a, n, t, p), kind=MPKind.INVERTIBLE,
+                        condition=condition)
+    return MPResult(pinv=a.prime() / (4.0 * k), kind=MPKind.SINGULAR_NONZERO, condition=condition)
 
 
 def test_mp_inverse_bit_identical_to_reference():
@@ -90,19 +119,90 @@ def test_mp_inverse_bit_identical_to_reference():
         inverse(e0, -1.0)
 
 
+def _is_singular_reference(a, tol):
+    r, _, s = _reduced(a)
+    return _within(_functionals_reference(r)[2], tol, s * s)
+
+
+def _inverse_reference(a, tol):
+    r, e, s = _reduced(a)
+    n, t, p = _functionals_reference(r)[:3]
+    if _within(p, tol, s * s):
+        raise SingularElement("singular")
+    return _scaled(_central_inverse(r, n, t, p), -e)
+
+
+def _eigenvalues_reference(a):
+    r, e, _ = _reduced(a)
+    c = r.coeffs
+    n, t = _functionals_reference(r)[:2]
+    alpha = complex(c[0], c[7])
+    root = cmath.sqrt(alpha * alpha - complex(n, 2.0 * t))
+    lams = [alpha + root, alpha - root]
+    lams += [lam.conjugate() for lam in lams]
+    lams.sort(key=lambda z: (z.real, z.imag))
+    if e:
+        lams = [complex(_ldexp(z.real, e), _ldexp(z.imag, e)) for z in lams]
+    return tuple(lams)
+
+
+def _outcome(f, *args):
+    """repr of the result (exact for floats, -0.0 included), or the error type."""
+    try:
+        x = f(*args)
+    except (ValueError, SingularElement) as exc:
+        return type(exc)
+    return repr(x.coeffs if isinstance(x, Multivector) else x)
+
+
+def _draw(rng):
+    # sparse (each coefficient zero with probability 1/2), singular or
+    # uniform, then half the draws scaled by 2^k, k in [-1000, 1000]
+    kind = rng.randrange(3)
+    if kind == 0:
+        c = [0.0 if rng.randrange(2) else rng.uniform(-5.0, 5.0) for _ in range(8)]
+    elif kind == 1:
+        c = random_singular(rng).coeffs
+    else:
+        c = [rng.uniform(-1.0, 1.0) for _ in range(8)]
+    k = rng.randint(-1000, 1000) if rng.randrange(2) else 0
+    return Multivector([math.ldexp(x, k) for x in c])
+
+
+def test_closed_forms_bit_identical_to_reference():
+    # every straight-line kernel against its Multivector-level formula
+    rng = random.Random(150)
+    big = Multivector.scalar(1.5e308)
+    pairs = [(big, big), (big, -big), (-big, big), (Multivector.zero(), Multivector.zero())]
+    pairs += [(_draw(rng), _draw(rng)) for _ in range(1500)]
+    for a, b in pairs:
+        assert repr(tuple(a.functionals())) == repr(_functionals_reference(a))
+        for tol in (1e-9, 0.0, 1e-3):
+            assert a.is_singular(tol) is _is_singular_reference(a, tol)
+            assert _outcome(inverse, a, tol) == _outcome(_inverse_reference, a, tol)
+        assert _outcome(lambda x: eigenvalues(x).values, a) == _outcome(_eigenvalues_reference, a)
+        for op, ref in (
+            (operator.add, lambda x, y: Multivector(u + v for u, v in zip(x.coeffs, y.coeffs))),
+            (operator.sub, lambda x, y: Multivector(u - v for u, v in zip(x.coeffs, y.coeffs))),
+            (lambda x, _: -x, lambda x, _: Multivector(-u for u in x.coeffs)),
+        ):
+            assert _outcome(op, a, b) == _outcome(ref, a, b)
+
+
 def test_mp_inverse_evaluates_functionals_once(monkeypatch):
+    # N, T and P come from the one kernel _ntp, once per mp_inverse,
+    # inverse and is_singular call
     calls = []
-    functionals = Multivector.functionals
+    ntp = multivector._ntp
 
-    def counted(self):
-        calls.append(self)
-        return functionals(self)
+    def counted(c):
+        calls.append(c)
+        return ntp(c)
 
-    monkeypatch.setattr(Multivector, "functionals", counted)
-    for a in (e0 + e2 + e4, e1 + e2, 3.0 * e4):
+    monkeypatch.setattr(multivector, "_ntp", counted)
+    monkeypatch.setattr(importlib.import_module("cl12.inverse"), "_ntp", counted)
+    for f, a in ((mp_inverse, e0 + e2 + e4), (mp_inverse, e1 + e2), (mp_inverse, 3.0 * e4),
+                 (inverse, e0 + e2 + e4), (Multivector.is_singular, e1 + e2)):
         calls.clear()
-        mp_inverse(a)
+        f(a)
         assert len(calls) == 1
-    calls.clear()
-    inverse(e0 + e2 + e4)
-    assert len(calls) == 1
