@@ -26,7 +26,8 @@ finiteness.  The closed forms are straight-line tuple code by the same
 rule, so on the element ``_reduced`` returns each is bit-identical to its
 Multivector-level formula: the inverse ((N - 2T*e7)/P) * a.conjugate() is
 0.0 +- g0*c_k +- g7*c_(7^k), that product's nonzero terms in its order;
-``+``, ``-`` and a.prime()/(4K) add 0.0 last; no result holds -0.0.
+``+``, ``-``, scaling by a real and a.prime()/(4K) add 0.0 last; no result
+holds -0.0.
 
 The algebra is the algebra M2(C) of 2x2 complex matrices.  The map
 
@@ -179,6 +180,9 @@ class Multivector:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Multivector is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return (Multivector, (self._c,))
+
     @property
     def coeffs(self) -> tuple[float, ...]:
         return self._c
@@ -223,17 +227,16 @@ class Multivector:
         if isinstance(other, Multivector):
             return Multivector._from_floats(_mul_coeffs(self._c, other._c))
         if isinstance(other, (int, float)):
-            return Multivector(x * other for x in self._c)
+            s = float(other)
+            return Multivector._from_floats(tuple([x * s + 0.0 for x in self._c]))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Multivector(other * x for x in self._c)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only for a non-Multivector left factor; s*x == x*s
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return Multivector(x / other for x in self._c)
+            s = float(other)
+            return Multivector._from_floats(tuple([x / s + 0.0 for x in self._c]))
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -323,10 +326,10 @@ class Multivector:
         return _within(_ntp(r._c)[2], tol, s * s)
 
     def isclose(self, other: "Multivector", tol: float = DEFAULT_TOL) -> bool:
-        """Componentwise comparison: every |x - y| <= tol * (1 + the larger
-        norm).  The 1 keeps the bound usable for parts that are exactly 0."""
+        """Componentwise comparison: every |x - y| <= tol * the larger norm
+        (``_within`` at degree 1, so scaling both changes no verdict)."""
         gap = max(map(abs, map(sub, self._c, other._c)))
-        return _within(gap, tol, 1.0 + max(self.norm(), other.norm()))
+        return _within(gap, tol, max(self.norm(), other.norm()))
 
 
 def _check_tol(tol: float) -> float:
@@ -355,7 +358,7 @@ def _scaled(a: Multivector, e: int) -> Multivector:
     if not e:
         return a
     try:
-        return Multivector(math.ldexp(x, e) for x in a._c)
+        return Multivector._from_floats(tuple([math.ldexp(x, e) + 0.0 for x in a._c]))
     except OverflowError:
         raise ValueError(f"scaling by 2^{e} overflows the coefficients") from None
 

@@ -390,7 +390,7 @@ def test_verify_json(capsys):
     assert code == 0 and payload["ok"] is True
     assert [(s["name"], s["passed"], s["failed"]) for s in payload["suites"]] == [
         ("multivector", 3201, 0),
-        ("matrix-rep", 4600, 0),
+        ("matrix-rep", 3400, 0),
         ("inverse", 1704, 0),
         ("solver", 1300, 0),
         ("similarity", 1600, 0),

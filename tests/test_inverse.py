@@ -4,6 +4,7 @@ import math
 import operator
 import random
 
+import numpy as np
 import pytest
 
 from cl12 import (
@@ -169,6 +170,18 @@ def _draw(rng):
     return Multivector([math.ldexp(x, k) for x in c])
 
 
+def _scaled_reference(a, e):
+    try:
+        return Multivector(math.ldexp(x, e) for x in a.coeffs)
+    except OverflowError:
+        raise ValueError from None
+
+
+# ints, a numpy scalar, and scalars that underflow a product to -0.0 or
+# overflow it
+_SCALARS = (3, -2, 0.1, -7.5, np.float64(-1.25), -(2.0 ** -1074), 2.0 ** 1000, -(2.0 ** -600))
+
+
 def test_closed_forms_bit_identical_to_reference():
     # every straight-line kernel against its Multivector-level formula
     rng = random.Random(150)
@@ -187,6 +200,15 @@ def test_closed_forms_bit_identical_to_reference():
             (lambda x, _: -x, lambda x, _: Multivector(-u for u in x.coeffs)),
         ):
             assert _outcome(op, a, b) == _outcome(ref, a, b)
+        for op, ref in (
+            (operator.mul, lambda x, s: Multivector(u * float(s) for u in x.coeffs)),
+            (lambda x, s: s * x, lambda x, s: Multivector(float(s) * u for u in x.coeffs)),
+            (operator.truediv, lambda x, s: Multivector(u / float(s) for u in x.coeffs)),
+        ):
+            for s in _SCALARS:
+                assert _outcome(op, a, s) == _outcome(ref, a, s)
+        e = rng.randint(-1100, 1100)
+        assert _outcome(_scaled, a, e) == _outcome(_scaled_reference, a, e)
 
 
 def test_mp_inverse_evaluates_functionals_once(monkeypatch):

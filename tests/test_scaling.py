@@ -62,6 +62,17 @@ def test_scale_repros():
     assert r.similar and r.witness == 1e-6 * (e2 + e6)
     assert eigenvalues(1e300 * e1).values == (-1e300, -1e300, 1e300, 1e300)
     assert eigenvalues(1e300 * (e1 + e2)).values == (0, 0, 0, 0)  # nilpotent
+    # isclose is relative to the larger norm, with no absolute floor
+    assert not (2.0 ** -600 * e1).isclose(2.0 ** -600 * e2)
+    rng = random.Random(1)
+    for _ in range(40):
+        a = random_multivector(rng)
+        b = a + 2.0 ** -rng.randint(24, 36) * random_multivector(rng)
+        for k in EXPONENTS[::8]:
+            sa, sb = _ldexp(a, k), _ldexp(b, k)
+            if None in (sa, sb) or min(abs(x) for x in sa.coeffs + sb.coeffs if x) < 2.0 ** -1022:
+                continue  # a coefficient left the normal range
+            assert sa.isclose(sb) == a.isclose(b), k
 
 
 def test_mp_inverse_commutes_with_power_of_two_scaling():
