@@ -236,6 +236,8 @@ class Multivector:
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
             s = float(other)
+            if not s:
+                raise ValueError("division of a multivector by zero")
             return Multivector._from_floats(tuple([x / s + 0.0 for x in self._c]))
         return NotImplemented
 

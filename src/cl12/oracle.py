@@ -17,19 +17,29 @@ exact.  Two independent layers:
 
 Matrices are plain lists of lists; vectors are lists.  The matrix kernels
 (``matmul``, ``mat_vec``, ``rref``, ``rank``, ``exact_det``,
-``exact_pinv``, ``exact_solve``, ``char_poly``) and ``fmul`` run on Python
-ints, and every operand enters them one way: an operand of ints alone is
-recognised by type and used as it is; any other is read exactly (any
-integer type through ``int``, a float as the rational it denotes, and
-anything but an integer, Fraction or float raises TypeError), scaled by
-the lcm of its denominators, the work is done on the integer numerators,
-and each output entry is divided back once.
+``scaled_pinv``, ``exact_pinv``, ``exact_solve``, ``char_poly``) and
+``fmul`` run on Python ints, and every operand enters them one way: an
+operand of ints alone is recognised by type and used as it is; any other
+is read exactly (any integer type through ``int``, a float as the
+rational it denotes, and anything but an integer, Fraction or float
+raises TypeError), scaled by the lcm of its denominators, the work is
+done on the integer numerators, and each output entry is divided back
+once (``scaled_pinv`` hands the denominator back instead).
 No kernel modifies its input.  Elimination is one fraction-free
 Gauss-Jordan pass (Bareiss 1968): every update ``(p*x - f*y) // prev`` is
 an exact integer division.  These kernels return an int wherever the exact
 value is whole and a Fraction only where it is not.  The elementwise
 helpers (``fadd``, ``fscale``, ``ffunctionals``, ...) use plain Python
 arithmetic and may return a whole-valued Fraction when given Fractions.
+
+The two inverses keep that one denominator in the open: ``scaled_pinv``
+and ``scaled_mp_inverse`` return ``(den, numerators)``, den a positive
+int and the numerators ints, the convention of ``_integral``; their
+exact values are numerators / den, which is all ``exact_pinv`` and
+``fmp_inverse`` compute.  A caller that checks an identity can then
+multiply it through by den and compare integers.  A square matrix of
+full rank takes one fraction-free pass over [A | I], the full-rank
+factorization's own degenerate case F = A, G = I.
 Nothing here checks its own results; :mod:`cl12.verify` does.  Intended
 for desk-scale verification, not bulk numerics.  The module loads no
 numpy, so two CLI commands use it at run time: ``rep`` prints
@@ -62,6 +72,7 @@ __all__ = [
     "fcre",
     "fcim",
     "ffunctionals",
+    "scaled_mp_inverse",
     "finverse",
     "fmp_inverse",
     "fleft_matrix",
@@ -74,6 +85,7 @@ __all__ = [
     "rref",
     "rank",
     "exact_det",
+    "scaled_pinv",
     "exact_pinv",
     "exact_solve",
     "char_poly",
@@ -126,10 +138,6 @@ def _exact(x):
     if isinstance(x, Integral):
         return int(x)
     raise TypeError(f"not an exact-representable number: {x!r}")
-
-
-def _div(x, y):
-    return Fraction(x) / Fraction(y)
 
 
 def _ratio(num: int, den: int):
@@ -252,24 +260,36 @@ def ffunctionals(a) -> FracFunctionals:
     return FracFunctionals(n, t, p, t1, t3, t5, k)
 
 
-def finverse(a) -> tuple:
-    """Exact two-sided inverse; raises ZeroDivisionError when P = 0."""
-    f = ffunctionals(a)
-    if f.P == 0:
-        raise ZeroDivisionError("element with P = 0 has no inverse")
-    central = (_div(f.N, f.P), 0, 0, 0, 0, 0, 0, _div(-2 * f.T, f.P))
-    return fmul(central, fconjugate(a))
+def scaled_mp_inverse(a) -> tuple[int, tuple]:
+    """Exact generalized inverse as ``(den, num)``: pinv(a) = num / den.
+
+    ``den > 0`` and ``num`` is a tuple of ints.  On the integer element
+    A = a * s (s the lcm of a's denominators) it is ``(P, (N - 2T e7) *
+    conj(A))`` when P != 0, ``(4K, prime(A))`` when P = 0 and A != 0, and
+    ``(1, zeros)`` for zero; num then carries the factor s back.
+    """
+    scale, (c,) = _integral((fvec(a),))
+    if not any(c):
+        return 1, (0,) * 8
+    f = ffunctionals(c)
+    if f.P:
+        den, num = f.P, fmul((f.N, 0, 0, 0, 0, 0, 0, -2 * f.T), fconjugate(c))
+    else:
+        den, num = 4 * f.K, fprime(c)
+    return den, num if scale == 1 else tuple(scale * x for x in num)
 
 
 def fmp_inverse(a) -> tuple:
     """Exact generalized inverse (total: zero maps to zero)."""
-    c = fvec(a)
-    if not any(c):
-        return c
-    f = ffunctionals(a)
-    if f.P != 0:
-        return finverse(a)
-    return fscale(_div(1, 4 * f.K), fprime(a))
+    den, num = scaled_mp_inverse(a)
+    return tuple(_ratio(x, den) for x in num)
+
+
+def finverse(a) -> tuple:
+    """Exact two-sided inverse; raises ZeroDivisionError when P = 0."""
+    if ffunctionals(a).P == 0:
+        raise ZeroDivisionError("element with P = 0 has no inverse")
+    return fmp_inverse(a)
 
 
 def fleft_matrix(a) -> list[list]:
@@ -400,28 +420,34 @@ def exact_det(m):
     return _ratio(sign * d, den**n) if len(pivots) == n else 0
 
 
-def exact_pinv(m) -> list[list]:
-    """Moore-Penrose inverse via full-rank factorization.
+def scaled_pinv(m) -> tuple[int, list[list[int]]]:
+    """Moore-Penrose inverse as ``(den, X)``: pinv(m) = X / den, den > 0.
 
-    Writes A = F @ G with F the pivot columns of A and G the nonzero rows
-    of the reduced echelon form, then A+ = G.T @ inv(F.T @ A @ G.T) @ F.T.
-    The result is not re-checked here: the ``oracle`` suite of
-    :mod:`cl12.verify` counts the four Penrose equations on it.
-
-    The input is scaled to an integer matrix (pinv is homogeneous of
-    degree -1) and each row of G to its smallest integer multiple (row
-    scaling of G cancels inside the formula).  One fraction-free pass over
-    [mid | I] gives d * inv(mid) with d = +-det(mid), so the products run
-    on plain ints and the single scalar denominator is divided back out at
-    the end.
+    The input is scaled to an integer matrix A (pinv is homogeneous of
+    degree -1).  A square A is eliminated together with I; at full rank
+    that one fraction-free pass over [A | I] ends in [d I | d inv(A)],
+    which is the result (the factorization below with F = A, G = I).
+    Otherwise A = F @ G with F the pivot columns of A and G the nonzero
+    rows of its reduced echelon form, each scaled to its smallest integer
+    multiple (row scaling of G cancels), and A+ = G.T @ inv(F.T @ A @
+    G.T) @ F.T.  One pass over [mid | I] gives d * inv(mid), so the
+    products run on plain ints and d is the denominator.  The result is
+    not re-checked here: the ``oracle`` suite of :mod:`cl12.verify` counts
+    the four Penrose equations on it.
     """
     scale, ai = _integral(m)
     nrows = len(ai)
     ncols = len(ai[0]) if nrows else 0
-    red, piv, _, _ = _rref_ints(ai, ncols)
+    if nrows == ncols:
+        aug, piv, d, _ = _rref_ints([row + ident for row, ident in zip(ai, identity(nrows))], ncols)
+        if len(piv) == nrows:
+            return _positive(d, [[scale * x for x in row[ncols:]] for row in aug])
+        red = [row[:ncols] for row in aug]  # the pivots look only at A's columns
+    else:
+        red, piv, _, _ = _rref_ints(ai, ncols)
     r = len(piv)
     if r == 0:
-        return zeros(ncols, nrows)
+        return 1, zeros(ncols, nrows)
     f = [[row[j] for j in piv] for row in ai]  # nrows x r
     gi = []  # r x ncols
     for row in red[:r]:
@@ -430,10 +456,21 @@ def exact_pinv(m) -> list[list]:
     ft = transpose(f)
     git = transpose(gi)
     mid = matmul(matmul(ft, ai), git)  # r x r integer, invertible by construction
-    aug, _, det_mid, _ = _rref_ints([row + ident for row, ident in zip(mid, identity(r))], r)
-    adj = [row[r:] for row in aug]  # det_mid * inv(mid)
-    xnum = matmul(matmul(git, adj), ft)  # integer; pinv(ai) = xnum / det_mid
-    return [[_ratio(scale * v, det_mid) for v in row] for row in xnum]
+    aug, _, d, _ = _rref_ints([row + ident for row, ident in zip(mid, identity(r))], r)
+    adj = [row[r:] for row in aug]  # d * inv(mid)
+    xnum = matmul(matmul(git, adj), ft)  # integer; pinv(ai) = xnum / d
+    return _positive(d, [[scale * x for x in row] for row in xnum])
+
+
+def _positive(den: int, rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """``(den, rows)`` with the sign moved so that den > 0."""
+    return (den, rows) if den > 0 else (-den, [[-x for x in row] for row in rows])
+
+
+def exact_pinv(m) -> list[list]:
+    """Moore-Penrose inverse: :func:`scaled_pinv` divided out once."""
+    den, x = scaled_pinv(m)
+    return [[_ratio(v, den) for v in row] for row in x]
 
 
 @dataclass(frozen=True)

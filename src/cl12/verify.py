@@ -2,9 +2,14 @@
 
 Each suite draws integer-coefficient inputs, evaluates the library path in
 floats (exact at this scale) and the corresponding statement in exact
-rationals through :mod:`cl12.oracle`, and tallies per-check pass/fail
+arithmetic through :mod:`cl12.oracle`, and tallies per-check pass/fail
 counts.  Checks are exact where the integer inputs allow; the rest compare
 through the one rule ``_within`` at a scale of the compared value's degree.
+The exact checks are integer identities: an inverse comes from the oracle
+as ``(den, num)`` with value num / den, so a x a = a is checked as
+``a num a == den a``, x a x = x as ``num a num == den num``, and two
+inverses are equal when their cross products are.  An exception raised
+inside a suite ends that suite as one failed check that names it.
 The CLI ``verify`` command is a thin shell over :func:`run_all`.
 """
 
@@ -13,12 +18,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import oracle
-from .inverse import inverse, mp_inverse
+from .inverse import MPKind, inverse, mp_inverse
 from .matrep import K8, S8, left_matrix, right_matrix, vectorize
 from .multivector import (
     BASIS,
@@ -105,6 +109,18 @@ def _feq(a: Multivector, b) -> bool:
     return oracle.fvec(a) == oracle.fvec(b)
 
 
+def _times(k: int, x):
+    """k * x for an exact vector or matrix, as the same kind of list or tuple."""
+    if isinstance(x[0], (list, tuple)):
+        return [[k * v for v in row] for row in x]
+    return type(x)(k * v for v in x)
+
+
+def _same_ratio(d1: int, x1, d2: int, x2) -> bool:
+    """x1 / d1 == x2 / d2 for two integer matrices, by cross-multiplying."""
+    return all(d2 * u == d1 * v for r1, r2 in zip(x1, x2) for u, v in zip(r1, r2))
+
+
 def _m2_mul(x, y):
     """Product of two 2x2 complex matrices given by rows."""
     return tuple(tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)) for i in range(2))
@@ -113,8 +129,7 @@ def _m2_mul(x, y):
 # -- suites -----------------------------------------------------------------
 
 
-def _suite_multivector(trials: int, seed: int, tol: float) -> SuiteResult:
-    res = SuiteResult("multivector")
+def _suite_multivector(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
     rng = random.Random(seed)
 
     res.check(
@@ -171,11 +186,9 @@ def _suite_multivector(trials: int, seed: int, tol: float) -> SuiteResult:
         probe = rng.choice([a, Multivector((rng.randint(-5, 5), 0, 0, 0, 0, 0, 0, rng.randint(-5, 5)))])
         commutes = all(probe * e == e * probe for e in BASIS[1:7])
         res.check(probe.is_central(0.0) == commutes, f"trial {n}: centrality vs commutation")
-    return res
 
 
-def _suite_matrix_rep(trials: int, seed: int, tol: float) -> SuiteResult:
-    res = SuiteResult("matrix-rep")
+def _suite_matrix_rep(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
     rng = random.Random(seed)
     for n in range(trials):
         a, b = random_multivector(rng), random_multivector(rng)
@@ -236,52 +249,55 @@ def _suite_matrix_rep(trials: int, seed: int, tol: float) -> SuiteResult:
         gaps = [abs(x - y) for x, y in zip(monic, q)]
         res.check(all(_within(g, tol, math.comb(4, k) * m ** k) for k, g in enumerate(gaps)),
                   f"trial {n}: eigenvalues are the roots of q (coefficient gaps {gaps})")
-    return res
 
 
-def _suite_inverse(trials: int, seed: int, tol: float) -> SuiteResult:
-    res = SuiteResult("inverse")
+def _suite_inverse(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
     rng = random.Random(seed)
     for n in range(trials):
         a = _mixed(rng)
         fa = oracle.fvec(a)
-        x = oracle.fmp_inverse(fa)
-        ax, xa = oracle.fmul(fa, x), oracle.fmul(x, fa)
-        res.check(oracle.fmul(ax, fa) == fa, f"trial {n}: a x a = a")
-        res.check(oracle.fmul(xa, x) == x, f"trial {n}: x a x = x")
+        den, x = oracle.scaled_mp_inverse(fa)  # pinv(a) = x / den
+        ax, xa, da = oracle.fmul(fa, x), oracle.fmul(x, fa), _times(den, fa)
+        res.check(oracle.fmul(ax, fa) == da, f"trial {n}: a x a = a")
+        res.check(oracle.fmul(xa, x) == _times(den, x), f"trial {n}: x a x = x")
         res.check(oracle.fprime(ax) == ax and oracle.fprime(xa) == xa,
                   f"trial {n}: prime-symmetry of a x and x a")
 
         # any perturbation must break at least one of the four conditions
         broke = 0
         for _ in range(10):
-            delta = oracle.fvec(random_nonzero(rng))
-            cand = oracle.fadd(x, delta)
+            cand = oracle.fadd(x, _times(den, oracle.fvec(random_nonzero(rng))))
             ca, ac = oracle.fmul(cand, fa), oracle.fmul(fa, cand)
-            if (oracle.fmul(ac, fa) != fa or oracle.fmul(ca, cand) != cand
+            if (oracle.fmul(ac, fa) != da or oracle.fmul(ca, cand) != _times(den, cand)
                     or oracle.fprime(ac) != ac or oracle.fprime(ca) != ca):
                 broke += 1
         res.check(broke == 10, f"trial {n}: uniqueness perturbations ({broke}/10 broke)")
 
         la = oracle.fleft_matrix(fa)
-        res.check(oracle.fleft_matrix(x) == oracle.exact_pinv(la),
+        res.check(_same_ratio(den, oracle.fleft_matrix(x), *oracle.scaled_pinv(la)),
                   f"trial {n}: L(pinv(a)) = pinv(L(a))")
-        res.check(oracle.fright_matrix(x) == oracle.exact_pinv(oracle.fright_matrix(fa)),
+        res.check(_same_ratio(den, oracle.fright_matrix(x),
+                              *oracle.scaled_pinv(oracle.fright_matrix(fa))),
                   f"trial {n}: R(pinv(a)) = pinv(R(a))")
         res.check(oracle.rank(la) == oracle.rank(oracle.matmul(oracle.transpose(la), la)),
                   f"trial {n}: rank(L) = rank(L^T L)")
 
         mp = mp_inverse(a, tol)
+        want = [v / den for v in x]
+        kind = (MPKind.ZERO if not any(fa) else MPKind.INVERTIBLE if oracle.ffunctionals(fa).P
+                else MPKind.SINGULAR_NONZERO)
+        gap = math.hypot(*(u - v for u, v in zip(mp.pinv.coeffs, want)))
+        res.check(mp.kind == kind and _within(gap, tol, math.hypot(*want)),
+                  f"trial {n}: mp_inverse vs the exact inverse (kind {mp.kind.value}, "
+                  f"exact {kind.value}, gap {gap:g})")
         if not a.is_singular(tol):
             res.check(mp.pinv == inverse(a, tol), f"trial {n}: pinv = inverse when P != 0")
         lam = rng.choice([2, 4, -2, 0.5, -0.5])
         scaled = mp_inverse(lam * a, tol).pinv
         res.check(scaled.isclose(mp.pinv / lam, tol), f"trial {n}: pinv scaling in 1/lambda")
-    return res
 
 
-def _suite_solver(trials: int, seed: int, tol: float) -> SuiteResult:
-    res = SuiteResult("solver")
+def _suite_solver(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
     rng = random.Random(seed)
     for n in range(trials):
         a, b = _mixed(rng), _mixed(rng)
@@ -325,17 +341,14 @@ def _suite_solver(trials: int, seed: int, tol: float) -> SuiteResult:
         fa, fb, fd = oracle.fvec(sa), oracle.fvec(sb), oracle.fvec(d)
         ka = oracle.ffunctionals(fa).K
         kb = oracle.ffunctionals(fb).K
-        direct = oracle.fscale(
-            Fraction(1, 16) / (ka * kb),
-            oracle.fmul(oracle.fmul(oracle.fprime(fa), fd), oracle.fprime(fb)),
-        )
-        via_pinv = oracle.fmul(oracle.fmul(oracle.fmp_inverse(fa), fd), oracle.fmp_inverse(fb))
-        res.check(direct == via_pinv, f"trial {n}: explicit singular-case denominators")
-    return res
+        direct = oracle.fmul(oracle.fmul(oracle.fprime(fa), fd), oracle.fprime(fb))  # / (16 ka kb)
+        (dpa, pa), (dpb, pb) = oracle.scaled_mp_inverse(fa), oracle.scaled_mp_inverse(fb)
+        via_pinv = oracle.fmul(oracle.fmul(pa, fd), pb)  # / (dpa dpb)
+        res.check(_times(dpa * dpb, direct) == _times(16 * ka * kb, via_pinv),
+                  f"trial {n}: explicit singular-case denominators")
 
 
-def _suite_similarity(trials: int, seed: int, tol: float) -> SuiteResult:
-    res = SuiteResult("similarity")
+def _suite_similarity(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
     rng = random.Random(seed)
     for n in range(trials):
         a = random_multivector(rng)
@@ -380,31 +393,29 @@ def _suite_similarity(trials: int, seed: int, tol: float) -> SuiteResult:
         if not ca.is_singular(tol):
             res.check(any(not w.is_singular(tol) for w in witness_candidates(a, b)),
                       f"trial {n}: one of the four witness candidates invertible")
-    return res
 
 
-def _suite_oracle(trials: int, seed: int, tol: float) -> SuiteResult:
-    res = SuiteResult("oracle")
+def _suite_oracle(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
     rng = random.Random(seed)
     for n in range(trials):
         a = oracle.fleft_matrix(oracle.fvec(_mixed(rng)))
-        x = oracle.exact_pinv(a)
+        den, x = oracle.scaled_pinv(a)  # pinv(A) = X / den
         ax, xa = oracle.matmul(a, x), oracle.matmul(x, a)
-        res.check(oracle.matmul(ax, a) == a, f"trial {n}: A X A = A")
-        res.check(oracle.matmul(xa, x) == x, f"trial {n}: X A X = X")
+        res.check(oracle.matmul(ax, a) == _times(den, a), f"trial {n}: A X A = A")
+        res.check(oracle.matmul(xa, x) == _times(den, x), f"trial {n}: X A X = X")
         res.check(ax == oracle.transpose(ax) and xa == oracle.transpose(xa),
                   f"trial {n}: A X and X A symmetric")
-        res.check(oracle.exact_pinv(oracle.transpose(a)) == oracle.transpose(x),
+        res.check(_same_ratio(den, oracle.transpose(x), *oracle.scaled_pinv(oracle.transpose(a))),
                   f"trial {n}: pinv commutes with transpose")
 
-        bvec = [Fraction(rng.randint(-5, 5)) for _ in range(8)]
+        bvec = [rng.randint(-5, 5) for _ in range(8)]
         sol = oracle.exact_solve(a, bvec)
-        res.check(sol.consistent == (oracle.mat_vec(oracle.matmul(a, x), bvec) == bvec),
+        res.check(sol.consistent == (oracle.mat_vec(ax, bvec) == _times(den, bvec)),
                   f"trial {n}: consistency criterion A A+ b = b")
         if sol.consistent:
             res.check(oracle.mat_vec(a, sol.particular) == bvec,
                       f"trial {n}: particular solution solves the system")
-        res.check(all(oracle.mat_vec(a, v) == [Fraction(0)] * 8 for v in sol.nullspace),
+        res.check(all(oracle.mat_vec(a, v) == [0] * 8 for v in sol.nullspace),
                   f"trial {n}: nullspace vectors annihilate")
         res.check(len(sol.nullspace) == 8 - oracle.rank(a), f"trial {n}: nullity vs rank")
 
@@ -412,21 +423,33 @@ def _suite_oracle(trials: int, seed: int, tol: float) -> SuiteResult:
         trace = sum(a[i][i] for i in range(8))
         res.check(pol[0] == 1 and pol[1] == -trace, f"trial {n}: leading and trace coefficients")
         res.check(pol[-1] == oracle.exact_det(a), f"trial {n}: constant coefficient vs Bareiss det")
-    return res
 
 
 _SUITES = (
-    _suite_multivector,
-    _suite_matrix_rep,
-    _suite_inverse,
-    _suite_solver,
-    _suite_similarity,
-    _suite_oracle,
+    ("multivector", _suite_multivector),
+    ("matrix-rep", _suite_matrix_rep),
+    ("inverse", _suite_inverse),
+    ("solver", _suite_solver),
+    ("similarity", _suite_similarity),
+    ("oracle", _suite_oracle),
 )
 
 
 def run_all(trials: int = 100, seed: int = 0, tol: float = DEFAULT_TOL) -> list[SuiteResult]:
-    """Run every suite at the given trial count; deterministic in ``seed``."""
+    """Run every suite at the given trial count; deterministic in ``seed``.
+
+    An exception raised inside a suite ends that suite only, as one more
+    failed check that names the exception.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    return [suite(trials, seed + 1000 * k, tol) for k, suite in enumerate(_SUITES)]
+    results = []
+    for k, (name, suite) in enumerate(_SUITES):
+        res = SuiteResult(name)
+        try:
+            suite(res, trials, seed + 1000 * k, tol)
+        except Exception as exc:  # any error inside a suite is a failed check
+            res.failed += 1
+            res.messages.append(f"raised {type(exc).__name__}: {exc}")
+        results.append(res)
+    return results

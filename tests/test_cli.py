@@ -391,11 +391,32 @@ def test_verify_json(capsys):
     assert [(s["name"], s["passed"], s["failed"]) for s in payload["suites"]] == [
         ("multivector", 3201, 0),
         ("matrix-rep", 3400, 0),
-        ("inverse", 1704, 0),
+        ("inverse", 1904, 0),
         ("solver", 1300, 0),
         ("similarity", 1600, 0),
         ("oracle", 1901, 0),
     ]
+
+
+def test_verify_reports_an_exception_as_a_failed_check(capsys, monkeypatch):
+    # a suite that raises ends as one failed check naming the exception;
+    # the other suites still run, and the CLI prints its table and exits 1
+    from cl12 import oracle
+
+    def broken(m):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(oracle, "char_poly", broken)
+    code, out, err = run(capsys, "verify", "--trials", "2", "--seed", "5")
+    assert code == 1 and "Traceback" not in out + err
+    lines = out.splitlines()
+    assert lines[-1] == "overall: FAIL"
+    assert "  raised ZeroDivisionError: planted" in lines
+    counts = {line.split(":")[0]: line for line in lines if not line.startswith(" ")}
+    for name in ("matrix-rep", "oracle"):  # the two suites that take char_poly
+        assert counts[name].endswith("1 failed")
+    for name in ("multivector", "inverse", "solver", "similarity"):
+        assert counts[name].endswith(" 0 failed")
 
 
 # -- plumbing ----------------------------------------------------------------

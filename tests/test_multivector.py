@@ -155,6 +155,14 @@ def test_immutability_and_validation():
         Multivector.basis(8)
 
 
+def test_division_by_zero_is_a_value_error():
+    # like every other non-finite result; never a bare ZeroDivisionError
+    for zero in (0, 0.0, -0.0):
+        with pytest.raises(ValueError, match="by zero"):
+            e1 / zero
+    assert (e1 + e2) / 2 == Multivector((0, 0.5, 0.5, 0, 0, 0, 0, 0))
+
+
 def test_pickle_and_copy_round_trip():
     # immutability refuses the default state restore; __reduce__ rebuilds
     # through the constructor, also inside the result types

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cl12 import Multivector, e0, e1, e2, e6, e7, mp_inverse
+from cl12 import Multivector, e0, e1, e2, e4, e6, e7, mp_inverse
 from cl12 import oracle
 from support import random_multivector, random_nonzero_mixed
 
@@ -32,6 +32,51 @@ def test_exact_pinv_rational_input():
     for a in ([[Fraction(1, 2), 0], [0, 0]], [[0.5, 0], [0, 0]]):
         assert oracle.exact_pinv(a) == [[2, 0], [0, 0]]
     assert oracle.matmul([[0.5]], [[2]]) == [[1]]
+
+
+def _ratio_rows(den, rows):
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def test_scaled_pinv_is_exact_pinv_over_one_positive_denominator():
+    rng = random.Random(103)
+    cases = [
+        oracle.fleft_matrix(e0 + e2 + e6),  # invertible: the one pass over [A | I]
+        oracle.fleft_matrix(e1 + e2),  # rank 4: the factorization
+        [[0, 1], [1, 0]],  # full rank, det -1: den still > 0
+        [[Fraction(1, 2), 0], [0, 0]],  # rational, rank deficient
+        [[0.5, 0.25], [-1.5, 3]],  # floats read exactly, full rank
+        [[1, 2, 3], [0, 1, 4]],  # 2x3, full row rank
+        [[1, 2], [3, 4], [5, 7]],  # 3x2, full column rank
+        oracle.zeros(3, 2),
+    ] + [oracle.fleft_matrix(random_nonzero_mixed(rng)) for _ in range(20)]
+    for m in cases:
+        den, x = oracle.scaled_pinv(m)
+        assert type(den) is int and den > 0
+        assert all(type(v) is int for row in x for v in row)
+        assert oracle.exact_pinv(m) == _ratio_rows(den, x)
+    assert oracle.exact_pinv([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+    assert oracle.exact_pinv([[0.5, 0.25], [-1.5, 3]]) == [
+        [Fraction(8, 5), Fraction(-2, 15)], [Fraction(4, 5), Fraction(4, 15)]]  # det 15/8
+    assert oracle.exact_pinv([[1, 2, 3], [0, 1, 4]]) == _ref_pinv([[1, 2, 3], [0, 1, 4]])
+    assert oracle.exact_pinv([[1, 2], [3, 4], [5, 7]]) == _ref_pinv([[1, 2], [3, 4], [5, 7]])
+
+
+def test_scaled_mp_inverse_is_fmp_inverse_over_one_positive_denominator():
+    rng = random.Random(107)
+    draws = [e0, e1 + e2, e0 + e2 + e4, Multivector.zero()]
+    draws += [random_nonzero_mixed(rng) for _ in range(40)]
+    for a in draws:
+        # Fraction inputs, whole and not, go through the same ratio
+        for c in (oracle.fvec(a), tuple(Fraction(int(x), rng.choice((1, 2, 3))) for x in a.coeffs)):
+            den, num = oracle.scaled_mp_inverse(c)
+            assert type(den) is int and den > 0 and all(type(v) is int for v in num)
+            want = tuple(Fraction(v, den) for v in num)
+            assert oracle.fmp_inverse(c) == want
+            if oracle.ffunctionals(c).P:
+                assert oracle.finverse(c) == want
+    assert oracle.scaled_mp_inverse(e1 + e2) == (4, (0, 1, -1, 0, 0, 0, 0, 0))
+    assert oracle.scaled_mp_inverse(Multivector.zero()) == (1, (0,) * 8)
 
 
 def test_kernels_leave_their_input_unchanged():
