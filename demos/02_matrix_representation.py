@@ -3,8 +3,6 @@
 Run:  python demos/02_matrix_representation.py
 """
 
-import numpy as np
-
 from cl12 import (
     K8,
     Multivector,
@@ -15,23 +13,26 @@ from cl12 import (
 )
 from cl12 import oracle
 
-np.set_printoptions(linewidth=120)
-
 a = Multivector((1, -1, 1, 1, 0, 0, 0, -1))
 print(f"a = {a}")
 print("L(a), the matrix of x -> a*x on coefficient vectors:")
-print(left_matrix(a).astype(int))
+for row in left_matrix(a):
+    print(" ".join(f"{x:3g}" for x in row))
 print()
 
+# the oracle's products read the float entries exactly
 x = Multivector((0, 1, 0, 2, 0, 0, -1, 0))
-print(f"vec(a*x)        = {vectorize(a * x)}")
-print(f"L(a) @ vec(x)   = {left_matrix(a) @ vectorize(x)}")
-print(f"R(x) @ vec(a)   = {right_matrix(x) @ vectorize(a)}   (same product, right action)")
+print(f"vec(a*x)        = {oracle.fvec(vectorize(a * x))}")
+print(f"L(a) vec(x)     = {tuple(oracle.mat_vec(left_matrix(a), vectorize(x)))}")
+print(f"R(x) vec(a)     = {tuple(oracle.mat_vec(right_matrix(x), vectorize(a)))}"
+      "   (same product, right action)")
 print()
 
+la_t = oracle.transpose(left_matrix(a))  # rows as lists, as the oracle's products return
 print("structure: R(a) = K8 L(a)^T K8, and the involutions transpose:")
-print(f"R(a) == K8 L(a)^T K8:          {np.array_equal(right_matrix(a), K8 @ left_matrix(a).T @ K8)}")
-print(f"L(prime(a)) == L(a)^T:         {np.array_equal(left_matrix(a.prime()), left_matrix(a).T)}")
+print(f"R(a) == K8 L(a)^T K8:          "
+      f"{oracle.matmul(oracle.matmul(K8, la_t), K8) == list(map(list, right_matrix(a)))}")
+print(f"L(prime(a)) == L(a)^T:         {list(map(list, left_matrix(a.prime()))) == la_t}")
 print()
 
 f = a.functionals()
@@ -43,6 +44,12 @@ print(f"closed-form eigenvalues of L(a): {spectrum.values}")
 print(f"each has algebraic multiplicity {spectrum.multiplicity}; they fill out degree 8")
 print()
 
-chi = np.poly([z for z in spectrum.values for _ in range(2)])
+# q = prod (l - lam) over the four eigenvalues; each is a double root of
+# the characteristic polynomial, so it is q^2
+q = [1]
+for lam in spectrum.values:
+    q = [u - lam * v for u, v in zip(q + [0], [0] + q)]
+chi = oracle.poly_mul(*[[round(c.real, 9) for c in q]] * 2)
 print("monic characteristic polynomial reconstructed from the closed form:")
-print(np.round(chi.real, 9))
+print(chi)
+print(f"equal to the exact one of L(a): {chi == oracle.char_poly(left_matrix(a))}")

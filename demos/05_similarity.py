@@ -5,8 +5,6 @@ Run:  python demos/05_similarity.py
 
 import random
 
-import numpy as np
-
 from cl12 import (
     Multivector,
     conjugate_by,
@@ -18,6 +16,7 @@ from cl12 import (
     e7,
     is_similar,
 )
+from cl12 import oracle
 from cl12.verify import random_invertible, random_multivector
 
 print("two non-central elements are similar exactly when their central")
@@ -51,5 +50,7 @@ print()
 print("conjugation x -> q x q^-1 fixes the center and acts invertibly on")
 print("the six-dimensional complement; its matrix is diag(1, S, 1):")
 cm = conjugation_matrix(e0 + e2 + e6 + 2 * e7)
-print(np.round(cm.full, 6))
-print(f"det(S) = {np.linalg.det(cm.block):.9g}")
+for row in cm.full:
+    print(" ".join(f"{round(x, 6) + 0.0:10.6f}" for x in row))
+# the exact determinant of the float block, rounded once
+print(f"det(S) = {float(oracle.exact_det(cm.block)):.9g}")

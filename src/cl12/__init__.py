@@ -5,16 +5,10 @@ closed-form classical and generalized inverses, linear equations of the
 form a*x*b = d, similarity decisions with explicit witnesses, and an
 exact-rational oracle (:mod:`cl12.oracle`) that independently verifies
 every closed form.
-
-The names of the matrix representation, the one part that needs numpy,
-are imported on first use, so ``import cl12``, the closed forms and the
-solver (which works through the 2x2 complex image of the algebra) do not
-load numpy.
 """
 
-import importlib
-
 from .inverse import MPKind, MPResult, SingularElement, inverse, mp_inverse
+from .matrep import K8, S8, left_matrix, right_matrix, vectorize
 from .multivector import (
     BASIS,
     DEFAULT_TOL,
@@ -42,23 +36,6 @@ from .similarity import (
     witness_candidates,
 )
 from .solver import SolutionSet, solve_ax, solve_axb, solve_xb
-
-#: Public name -> the numpy-backed submodule that defines it.
-_LAZY = dict.fromkeys(("K8", "S8", "left_matrix", "right_matrix", "vectorize"), "matrep")
-
-
-def __getattr__(name):
-    # PEP 562: called only for a name the module does not define yet
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
-
 
 __version__ = "0.1.0"
 

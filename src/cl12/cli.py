@@ -9,9 +9,9 @@ supports ``*`` (binding tighter than ``+`` and ``-``), parentheses and
 the unary functions conj(), prime(), cre(), cim(), inv() and pinv().
 Every option is spelled ``--name`` (or an unambiguous prefix of it)
 except ``-h``, so any other argument that starts with a single ``-`` is
-a literal such as ``-e7``.  ``rep`` prints the oracle's exact L(a) or
-R(a), whose entries are coefficients of a, and ``det`` is the exact
-determinant of L(a), taken in the oracle and rounded once.
+a literal such as ``-e7``.  ``rep`` prints L(a) or R(a), whose entries
+are coefficients of a with a sign, and ``det`` is the exact determinant
+of L(a), taken in the oracle and rounded once.
 
 Exit codes: 0 success, 1 domain error (singular input to inv(),
 unsolvable system under --strict, failed verification, no witness
@@ -31,6 +31,7 @@ import re
 import sys
 
 from .inverse import SingularElement, inverse, mp_inverse
+from .matrep import left_matrix, right_matrix
 from .multivector import (
     DEFAULT_TOL,
     Multivector,
@@ -343,13 +344,8 @@ def _cmd_similar(args) -> int:
 
 
 def _cmd_rep(args) -> int:
-    from .oracle import fleft_matrix, fright_matrix  # loads no numpy
-
     a = parse_multivector(args.a, args.tol)
-    # every entry is 0 or one coefficient of a with a sign, so float() gives
-    # it back exactly
-    exact = fleft_matrix(a) if args.side == "left" else fright_matrix(a)
-    m = [[float(x) for x in row] for row in exact]
+    m = (left_matrix if args.side == "left" else right_matrix)(a)
     if args.json:
         _print_json({"side": args.side, "matrix": m})
     else:
@@ -371,7 +367,7 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    from .oracle import exact_det, fleft_matrix  # exact, and loads no numpy
+    from .oracle import exact_det, fleft_matrix
 
     a = parse_multivector(args.a, args.tol)
     # the exact determinant, rounded once; it is P^2 >= 0, so past the
@@ -389,7 +385,7 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_all  # loads the oracle, which no other command needs
+    from .verify import run_all  # the suites, which no other command needs
 
     results = run_all(trials=args.trials, seed=args.seed, tol=args.tol)
     ok = all(r.ok for r in results)

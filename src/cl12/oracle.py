@@ -41,9 +41,8 @@ multiply it through by den and compare integers.  A square matrix of
 full rank takes one fraction-free pass over [A | I], the full-rank
 factorization's own degenerate case F = A, G = I.
 Nothing here checks its own results; :mod:`cl12.verify` does.  Intended
-for desk-scale verification, not bulk numerics.  The module loads no
-numpy, so two CLI commands use it at run time: ``rep`` prints
-``fleft_matrix`` or ``fright_matrix`` and ``det`` takes ``exact_det`` of
+for desk-scale verification, not bulk numerics.  Besides ``verify``, one
+CLI command uses it at run time: ``det`` takes ``exact_det`` of
 ``fleft_matrix``.
 """
 
@@ -176,10 +175,14 @@ def _integral(rows):
 def fvec(a) -> tuple:
     """Exact coefficient tuple from a Multivector or any 8-sequence."""
     coeffs = getattr(a, "coeffs", a)
-    # an 8-tuple of ints (what the mirror itself returns) is already exact,
-    # and _exact would hand every entry back unchanged
-    if type(coeffs) is tuple and len(coeffs) == 8 and set(map(type, coeffs)) <= _INTS:
-        return coeffs
+    if type(coeffs) is tuple and len(coeffs) == 8:
+        kinds = set(map(type, coeffs))
+        # ints (what the mirror returns) are exact already, and whole floats
+        # (a Multivector at desk scale) are the ints _exact would give
+        if kinds <= _INTS:
+            return coeffs
+        if kinds == {float} and all(map(float.is_integer, coeffs)):
+            return tuple(map(int, coeffs))
     out = tuple(_exact(x) for x in coeffs)
     if len(out) != 8:
         raise ValueError(f"expected 8 coefficients, got {len(out)}")

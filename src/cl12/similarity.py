@@ -43,7 +43,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from operator import sub
-from typing import TYPE_CHECKING
 
 from .inverse import SingularElement, inverse
 from .multivector import BASIS, DEFAULT_TOL, Multivector, _ntp, _reduced, _scaled, _within
@@ -57,10 +56,6 @@ __all__ = [
     "is_similar",
     "witness_candidates",
 ]
-
-if TYPE_CHECKING:
-    import numpy as np
-
 
 class SimilarityReason(enum.Enum):
     CENTRAL_EQUAL = "CentralEqual"
@@ -80,15 +75,16 @@ class SimilarityResult:
 
 @dataclass(frozen=True)
 class ConjugationMatrix:
-    """Matrix of x -> q*x*q^{-1} and its central block.
+    """Matrix of x -> q*x*q^{-1} and its central block, as tuples of rows.
 
-    ``full`` is 8x8 and block-diagonal diag(1, S, 1) up to rounding: the
-    scalar and e7 lines are fixed, and ``block`` is the invertible 6x6
-    action on the e1..e6 components.
+    ``full`` is 8x8, column t the coefficients of q*e_t*q^{-1}, and
+    block-diagonal diag(1, S, 1) up to rounding: the scalar and e7 lines
+    are fixed, and ``block``, rows and columns 1..6 of ``full``, is the
+    invertible 6x6 action on the e1..e6 components.
     """
 
-    full: np.ndarray
-    block: np.ndarray
+    full: tuple[tuple[float, ...], ...]
+    block: tuple[tuple[float, ...], ...]
 
 
 def conjugate_by(q: Multivector, x: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
@@ -97,10 +93,9 @@ def conjugate_by(q: Multivector, x: Multivector, tol: float = DEFAULT_TOL) -> Mu
 
 
 def conjugation_matrix(q: Multivector, tol: float = DEFAULT_TOL) -> ConjugationMatrix:
-    from .matrep import left_matrix, right_matrix  # numpy, which is_similar does not need
-
-    full = left_matrix(q) @ right_matrix(inverse(q, tol))
-    return ConjugationMatrix(full=full, block=full[1:7, 1:7].copy())
+    q_inv = inverse(q, tol)
+    full = tuple(zip(*((q * e * q_inv).coeffs for e in BASIS)))
+    return ConjugationMatrix(full=full, block=tuple(row[1:7] for row in full[1:7]))
 
 
 def _candidates(ca: Multivector, cb: Multivector):

@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import add, mul
 
 from . import oracle
 from .inverse import MPKind, inverse, mp_inverse
@@ -121,6 +120,32 @@ def _same_ratio(d1: int, x1, d2: int, x2) -> bool:
     return all(d2 * u == d1 * v for r1, r2 in zip(x1, x2) for u, v in zip(r1, r2))
 
 
+def _matmul(x, y):
+    """Product of two float matrices given by rows, as a tuple of rows."""
+    cols = tuple(zip(*y))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
+
+
+def _transposed_by(d, m):
+    """D m^T D for the diagonal matrix D with diagonal d: no product needed."""
+    return tuple(tuple(di * dj * x for dj, x in zip(d, col)) for di, col in zip(d, zip(*m)))
+
+
+def _det(m) -> float:
+    """Determinant of a small float matrix, by elimination with partial pivoting."""
+    a, det = [list(row) for row in m], 1.0
+    for k in range(len(a)):
+        p = max(range(k, len(a)), key=lambda i: abs(a[i][k]))
+        a[k], a[p] = a[p], a[k]
+        det *= a[k][k] if p == k else -a[k][k]
+        if not det:
+            return 0.0
+        for row in a[k + 1:]:
+            f = row[k] / a[k][k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], a[k][k:])]
+    return det
+
+
 def _m2_mul(x, y):
     """Product of two 2x2 complex matrices given by rows."""
     return tuple(tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)) for i in range(2))
@@ -190,32 +215,33 @@ def _suite_multivector(res: SuiteResult, trials: int, seed: int, tol: float) -> 
 
 def _suite_matrix_rep(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
     rng = random.Random(seed)
+    k8, s8 = (tuple(d[i][i] for i in range(8)) for d in (K8, S8))
     for n in range(trials):
         a, b = random_multivector(rng), random_multivector(rng)
         la, lb = left_matrix(a), left_matrix(b)
         ra, rb = right_matrix(a), right_matrix(b)
         la_exact, ra_exact = oracle.fleft_matrix(a), oracle.fright_matrix(a)
-        res.check(np.array_equal(la, np.array(la_exact, dtype=float))
-                  and np.array_equal(ra, np.array(ra_exact, dtype=float)),
+        res.check(list(map(list, la)) == la_exact and list(map(list, ra)) == ra_exact,
                   f"trial {n}: generated left and right matrices vs the oracle's")
-        res.check(np.array_equal(left_matrix(a * b), la @ lb), f"trial {n}: L(ab) = L(a) L(b)")
-        res.check(np.array_equal(right_matrix(a * b), rb @ ra), f"trial {n}: R(ab) = R(b) R(a)")
-        res.check(np.array_equal(la @ rb, rb @ la), f"trial {n}: L and R commute")
-        res.check(np.array_equal(left_matrix(a + b), la + lb)
-                  and np.array_equal(left_matrix(3 * a), 3 * la),
+        res.check(left_matrix(a * b) == _matmul(la, lb), f"trial {n}: L(ab) = L(a) L(b)")
+        res.check(right_matrix(a * b) == _matmul(rb, ra), f"trial {n}: R(ab) = R(b) R(a)")
+        res.check(_matmul(la, rb) == _matmul(rb, la), f"trial {n}: L and R commute")
+        res.check(left_matrix(a + b) == tuple(tuple(map(add, u, v)) for u, v in zip(la, lb))
+                  and left_matrix(3 * a) == tuple(tuple(3 * x for x in row) for row in la),
                   f"trial {n}: linearity of L")
-        res.check(np.array_equal(ra, K8 @ la.T @ K8), f"trial {n}: R from L by K8 conjugation")
-        res.check(np.array_equal(left_matrix(a.prime()), la.T)
-                  and np.array_equal(right_matrix(a.prime()), ra.T),
+        res.check(ra == _transposed_by(k8, la), f"trial {n}: R from L by K8 conjugation")
+        res.check(left_matrix(a.prime()) == tuple(zip(*la))
+                  and right_matrix(a.prime()) == tuple(zip(*ra)),
                   f"trial {n}: prime transports to transpose")
-        res.check(np.array_equal(left_matrix(a.conjugate()), S8 @ la.T @ S8)
-                  and np.array_equal(right_matrix(a.conjugate()), S8 @ ra.T @ S8),
+        res.check(left_matrix(a.conjugate()) == _transposed_by(s8, la)
+                  and right_matrix(a.conjugate()) == _transposed_by(s8, ra),
                   f"trial {n}: conjugate transports via S8")
-        res.check((a == b) == np.array_equal(left_matrix(a - b), np.zeros((8, 8))),
+        res.check((a == b) == (not any(map(any, left_matrix(a - b)))),
                   f"trial {n}: faithfulness")
-        res.check(np.array_equal(la @ vectorize(b), vectorize(a * b)),
+        vb = tuple(zip(vectorize(b)))  # an 8x1 column
+        res.check(_matmul(la, vb) == tuple(zip(vectorize(a * b))),
                   f"trial {n}: L acts as left product")
-        res.check(np.array_equal(ra @ vectorize(b), vectorize(b * a)),
+        res.check(_matmul(ra, vb) == tuple(zip(vectorize(b * a))),
                   f"trial {n}: R acts as right product")
 
         # exact: det L(a) is the constant coefficient of its characteristic
@@ -313,9 +339,11 @@ def _suite_solver(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
                   f"trial {n}: solvable flag vs exact solve")
         res.check(sol.dim == len(exact.nullspace),
                   f"trial {n}: homogeneous dimension {sol.dim} vs exact {len(exact.nullspace)}")
-        hb = np.array([h.coeffs for h in sol.hom_basis]).reshape(-1, 8)
+        hb = [h.coeffs for h in sol.hom_basis]
+        gram = max((abs(sum(map(mul, u, v)) - (i == j)) for i, u in enumerate(hb)
+                    for j, v in enumerate(hb)), default=0.0)
         res.check(all(_within((a * h * b).norm(), tol, a.norm() * b.norm()) for h in sol.hom_basis)
-                  and _within(np.abs(hb @ hb.T - np.eye(len(hb))).max(initial=0.0), tol, 1.0),
+                  and _within(gram, tol, 1.0),
                   f"trial {n}: homogeneous basis solves a*x*b = 0 and is orthonormal")
 
         p = mp_inverse(a, tol).pinv
@@ -365,12 +393,12 @@ def _suite_similarity(res: SuiteResult, trials: int, seed: int, tol: float) -> N
                   f"trial {n}: conjugation ignores scaling of q")
 
         cm = conjugation_matrix(q, tol)
-        ident = np.eye(8)
-        edge = [(0, slice(None)), (7, slice(None)), (slice(None), 0), (slice(None), 7)]
-        flat = max(np.max(np.abs(cm.full[idx] - ident[idx])) for idx in edge)
-        res.check(_within(flat, tol, float(np.max(np.abs(cm.full)))),
+        # rows and columns 0 and 7 are those of the identity
+        flat = max(abs(x - (i == j)) for i, row in enumerate(cm.full)
+                   for j, x in enumerate(row) if i in (0, 7) or j in (0, 7))
+        res.check(_within(flat, tol, max(abs(x) for row in cm.full for x in row)),
                   f"trial {n}: conjugation matrix block structure (off-block {flat:g})")
-        det = np.linalg.det(cm.block)  # det L(q) det R(1/q) = P^2 / P^2, dimensionless
+        det = _det(cm.block)  # det L(q) det R(1/q) = P^2 / P^2, dimensionless
         res.check(_within(det - 1.0, tol, 1.0),
                   f"trial {n}: central block has det 1 (det - 1 = {det - 1.0:g})")
 

@@ -1,6 +1,6 @@
+import math
 import random
 
-import numpy as np
 from hypothesis import given
 
 from cl12 import (
@@ -19,48 +19,61 @@ from support import multivectors, random_multivector
 EX21 = Multivector((1, -1, 1, 1, 0, 0, 0, -1))
 
 # the displayed matrix for the worked example with a = 1 - e1 + e2 + e3 - e7
-EX21_MATRIX = np.array(
-    [
-        [1, -1, -1, 1, 0, 0, 0, 1],
-        [-1, 1, -1, 1, 0, 0, 1, 0],
-        [1, -1, 1, -1, 0, 1, 0, 0],
-        [1, -1, -1, 1, 1, 0, 0, 0],
-        [0, 0, 0, -1, 1, -1, -1, 1],
-        [0, 0, -1, 0, -1, 1, -1, 1],
-        [0, -1, 0, 0, 1, -1, 1, -1],
-        [-1, 0, 0, 0, 1, -1, -1, 1],
-    ],
-    dtype=float,
+EX21_MATRIX = (
+    (1, -1, -1, 1, 0, 0, 0, 1),
+    (-1, 1, -1, 1, 0, 0, 1, 0),
+    (1, -1, 1, -1, 0, 1, 0, 0),
+    (1, -1, -1, 1, 1, 0, 0, 0),
+    (0, 0, 0, -1, 1, -1, -1, 1),
+    (0, 0, -1, 0, -1, 1, -1, 1),
+    (0, -1, 0, 0, 1, -1, 1, -1),
+    (-1, 0, 0, 0, 1, -1, -1, 1),
 )
 
 
 def test_vectorize_examples():
-    assert np.array_equal(vectorize(e3), np.eye(8)[3])
-    assert np.array_equal(vectorize(EX21), np.array([1, -1, 1, 1, 0, 0, 0, -1.0]))
+    assert vectorize(e3) == (0, 0, 0, 1, 0, 0, 0, 0)
+    assert vectorize(EX21) == (1, -1, 1, 1, 0, 0, 0, -1.0)
 
 
 def test_left_matrix_examples():
-    assert np.array_equal(left_matrix(EX21), EX21_MATRIX)
+    assert left_matrix(EX21) == EX21_MATRIX
 
 
 def test_left_matrix_of_e7_block_form():
-    m = np.fliplr(np.eye(4))
+    # [[0, -J], [J, 0]] in 4x4 blocks, J the 4x4 anti-identity
     l7 = left_matrix(e7)
-    assert np.array_equal(l7[:4, 4:], -m)
-    assert np.array_equal(l7[4:, :4], m)
-    assert np.array_equal(l7[:4, :4], np.zeros((4, 4)))
-    assert np.array_equal(l7[4:, 4:], np.zeros((4, 4)))
+    anti = [[1 if i + j == 3 else 0 for j in range(4)] for i in range(4)]
+
+    def block(r, c):
+        return [list(row[c:c + 4]) for row in l7[r:r + 4]]
+
+    assert block(0, 4) == [[-x for x in row] for row in anti]
+    assert block(4, 0) == anti
+    assert block(0, 0) == block(4, 4) == [[0] * 4] * 4
 
 
 def test_right_matrix_action_example():
-    assert np.array_equal(right_matrix(e2) @ vectorize(e1), vectorize(e3))
+    r2 = right_matrix(e2)
+    assert tuple(sum(x * y for x, y in zip(row, vectorize(e1))) for row in r2) == vectorize(e3)
+
+
+def test_entries_are_never_negative_zero():
+    # each entry is 0.0 + c or 0.0 - c, so a zero coefficient with either
+    # sign gives +0.0 whatever the sign of its table entry
+    for c in ((0.0, -0.0, -2.0, 0.0, -0.0, 3.5, -1e-300, 0.0),
+              (-1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0, -8.0),
+              (-0.0,) * 8):
+        a = Multivector(c)
+        for m in (left_matrix(a), right_matrix(a)):
+            assert all(math.copysign(1.0, x) > 0 for row in m for x in row if x == 0.0), c
 
 
 @given(multivectors)
 def test_faithfulness(a):
     # the verify suite draws distinct pairs and checks L(a - b) != 0; this
     # is the other side, equal operands with a zero difference
-    assert np.array_equal(left_matrix(a - a), np.zeros((8, 8)))
+    assert left_matrix(a - a) == ((0.0,) * 8,) * 8
 
 
 def _as_multiset(values):

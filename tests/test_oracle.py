@@ -199,6 +199,17 @@ def test_fvec_validation():
     assert oracle.rank(np.eye(3, dtype=int)) == 3
 
 
+def test_fvec_reads_floats_as_exact_does():
+    # whole floats take the one-pass read, the rest the entry-wise one;
+    # both must agree with _exact in value and in type
+    for c in ((1.0, -2.0, 0.0, 3.0, -0.0, 2.0 ** 60, -7.0, 5.0),
+              (0.5, -1.5, 2.5, -3.5, 0.5, 4.5, -0.5, 1.5),
+              (1.0, 0.5, -2.0, -1.5, 0.0, 2.0 ** -30, 3.0, -4.0)):
+        for a in (c, Multivector(c)):
+            got, want = oracle.fvec(a), tuple(map(oracle._exact, c))
+            assert got == want and list(map(type, got)) == list(map(type, want)), c
+
+
 def test_finverse_raises_on_singular():
     with pytest.raises(ZeroDivisionError):
         oracle.finverse(e1 + e2)
