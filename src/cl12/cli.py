@@ -319,7 +319,8 @@ def _cmd_similar(args) -> int:
     if verdict.similar:
         # checked on the pair reduced as is_similar reduces it and on the
         # witness reduced on its own, so no product leaves the double range
-        a, b, e, scale = _reduced_pair(a, b)
+        a, b, e, *norms = _reduced_pair(a, b)
+        scale = max(norms)
         q, eq, _ = _reduced(verdict.witness)
         check = (q * a - b * q).norm()
         ok = _within(check, args.tol, 8.0 * q.norm() * scale)

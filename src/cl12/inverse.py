@@ -13,7 +13,7 @@ K = c0^2 + c2^2 + c4^2 + c6^2.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .multivector import DEFAULT_TOL, Multivector, _ntp, _reduced, _scaled, _within
 
@@ -30,8 +30,7 @@ class MPKind(enum.Enum):
     SINGULAR_NONZERO = "SingularNonzero"
 
 
-@dataclass(frozen=True)
-class MPResult:
+class MPResult(NamedTuple):
     """Generalized inverse plus the case it came from.
 
     ``condition`` is P / s^2, s the coefficient square sum (0.0 for the
@@ -83,7 +82,7 @@ def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
     if not _within(p, tol, s * s):
         return MPResult(_scaled(_invert(c, n, t, p), -e), MPKind.INVERTIBLE, p / (s * s))
     if s == 0.0:  # only zero reduces to a zero square sum
-        return MPResult(pinv=Multivector.zero(), kind=MPKind.ZERO, condition=0.0)
+        return MPResult(Multivector.zero(), MPKind.ZERO, 0.0)
     # K > 0 here.  Exactly: K = (s + N) / 2 and N^2 <= P <= tol * s^2 give
     # K >= s * (1 - sqrt(tol)) / 2 > 0, as tol < 1.  In floats: K == 0
     # zeroes every even-index square, so N sums the same squares in the

@@ -26,8 +26,8 @@ finiteness.  The closed forms are straight-line tuple code by the same
 rule, so on the element ``_reduced`` returns each is bit-identical to its
 Multivector-level formula: the inverse ((N - 2T*e7)/P) * a.conjugate() is
 0.0 +- g0*c_k +- g7*c_(7^k), that product's nonzero terms in its order;
-``+``, ``-``, scaling by a real and a.prime()/(4K) add 0.0 last; no result
-holds -0.0.
+``+``, ``-``, scaling by a real and a.prime()/(4K) add 0.0 last, as do the
+involutions to each coefficient they negate; no result holds -0.0.
 
 The algebra is the algebra M2(C) of 2x2 complex matrices.  The map
 
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from math import isfinite
 from operator import attrgetter, mul, sub
 from typing import Iterable, NamedTuple
 
@@ -169,9 +169,11 @@ class Multivector:
 
     @classmethod
     def _from_floats(cls, c: tuple[float, ...]) -> "Multivector":
-        # For eight floats that hold no -0.0 already; only finiteness is
-        # left to check (a product can overflow).
-        if not all(map(math.isfinite, c)):
+        # For a tuple of eight floats that holds no -0.0 already; only
+        # finiteness is left to check (a product can overflow).
+        c0, c1, c2, c3, c4, c5, c6, c7 = c
+        if not (isfinite(c0) and isfinite(c1) and isfinite(c2) and isfinite(c3)
+                and isfinite(c4) and isfinite(c5) and isfinite(c6) and isfinite(c7)):
             raise ValueError(f"coefficients must be finite, got {c}")
         self = object.__new__(cls)
         object.__setattr__(self, "_c", c)
@@ -259,8 +261,9 @@ class Multivector:
 
     def conjugate(self) -> "Multivector":
         """Negate the e1..e6 components; fixes scalars and e7."""
-        c = self._c
-        return Multivector((c[0], -c[1], -c[2], -c[3], -c[4], -c[5], -c[6], c[7]))
+        c0, c1, c2, c3, c4, c5, c6, c7 = self._c
+        return Multivector._from_floats(
+            (c0, -c1 + 0.0, -c2 + 0.0, -c3 + 0.0, -c4 + 0.0, -c5 + 0.0, -c6 + 0.0, c7))
 
     def prime(self) -> "Multivector":
         """Negate the e2, e4, e6, e7 components.
@@ -268,18 +271,19 @@ class Multivector:
         This involution is the one transported to matrix transposition by
         the left regular representation.
         """
-        c = self._c
-        return Multivector((c[0], c[1], -c[2], c[3], -c[4], c[5], -c[6], -c[7]))
+        c0, c1, c2, c3, c4, c5, c6, c7 = self._c
+        return Multivector._from_floats(
+            (c0, c1, -c2 + 0.0, c3, -c4 + 0.0, c5, -c6 + 0.0, -c7 + 0.0))
 
     def cre(self) -> "Multivector":
         """Central part c0 + c7*e7, equal to (a + a.conjugate()) / 2."""
         c = self._c
-        return Multivector((c[0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, c[7]))
+        return Multivector._from_floats((c[0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, c[7]))
 
     def cim(self) -> "Multivector":
         """Complement of the central part: a - a.cre()."""
         c = self._c
-        return Multivector((0.0, c[1], c[2], c[3], c[4], c[5], c[6], 0.0))
+        return Multivector._from_floats((0.0, *c[1:7], 0.0))
 
     def split_h(self) -> tuple["Multivector", "Multivector"]:
         """Split a = a_h + a_H * e4 with both halves in span{e0, e1, e2, e3}.
@@ -289,9 +293,8 @@ class Multivector:
         complementary coefficients, so the split is a plain reindexing.
         """
         c = self._c
-        a_h = Multivector((c[0], c[1], c[2], c[3], 0.0, 0.0, 0.0, 0.0))
-        a_big = Multivector((c[4], c[5], c[6], c[7], 0.0, 0.0, 0.0, 0.0))
-        return a_h, a_big
+        zeros = (0.0, 0.0, 0.0, 0.0)
+        return Multivector._from_floats(c[:4] + zeros), Multivector._from_floats(c[4:] + zeros)
 
     # -- scalar forms ----------------------------------------------------
 
@@ -400,16 +403,15 @@ def _to_m2(a: Multivector) -> tuple[tuple[complex, complex], tuple[complex, comp
 def _from_m2(m) -> Multivector:
     """The element whose 2x2 image is ``m`` (rows of complex numbers)."""
     (m00, m01), (m10, m11) = m
-    return Multivector((
-        (m00.real + m11.real) / 2, (m00.real - m11.real) / 2,
-        (m01.imag + m10.imag) / 2, (m01.imag - m10.imag) / 2,
-        (m01.real - m10.real) / 2, (m01.real + m10.real) / 2,
-        (m11.imag - m00.imag) / 2, -(m00.imag + m11.imag) / 2,
+    return Multivector._from_floats((
+        (m00.real + m11.real) / 2 + 0.0, (m00.real - m11.real) / 2 + 0.0,
+        (m01.imag + m10.imag) / 2 + 0.0, (m01.imag - m10.imag) / 2 + 0.0,
+        (m01.real - m10.real) / 2 + 0.0, (m01.real + m10.real) / 2 + 0.0,
+        (m11.imag - m00.imag) / 2 + 0.0, -(m00.imag + m11.imag) / 2 + 0.0,
     ))
 
 
-@dataclass(frozen=True)
-class EigenSpectrum:
+class EigenSpectrum(NamedTuple):
     """The four eigenvalues of L(a), each of algebraic multiplicity 2.
 
     ``values`` is sorted by (real part, imaginary part).  When the two
@@ -439,7 +441,7 @@ def eigenvalues(a: Multivector) -> EigenSpectrum:
     lams = sorted((l0, l1, l0.conjugate(), l1.conjugate()), key=_REAL_IMAG)
     if e:
         lams = [complex(_ldexp(z.real, e), _ldexp(z.imag, e)) for z in lams]
-    return EigenSpectrum(values=tuple(lams))
+    return EigenSpectrum(tuple(lams))
 
 
 def format_multivector(a: Multivector) -> str:

@@ -49,7 +49,6 @@ CLI command uses it at run time: ``det`` takes ``exact_det`` of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from numbers import Integral
@@ -476,8 +475,7 @@ def exact_pinv(m) -> list[list]:
     return [[_ratio(v, den) for v in row] for row in x]
 
 
-@dataclass(frozen=True)
-class ExactSolution:
+class ExactSolution(NamedTuple):
     """Outcome of an exact linear solve A x = b."""
 
     consistent: bool
@@ -511,7 +509,7 @@ def exact_solve(m, b: Sequence) -> ExactSolution:
         for i, col in enumerate(piv):
             v[col] = -red[i][j]
         nullspace.append(v)
-    return ExactSolution(consistent=consistent, particular=particular, nullspace=nullspace)
+    return ExactSolution(consistent, particular, nullspace)
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +546,13 @@ def char_poly(m) -> list:
 
 def poly_mul(p: Sequence, q: Sequence) -> list:
     """Product of two coefficient lists (descending powers)."""
+    q = [_exact(y) for y in q]
     out = [0] * (len(p) + len(q) - 1)
     for i, x in enumerate(p):
         if x:
+            x = _exact(x)
             for j, y in enumerate(q):
-                out[i + j] += _exact(x) * _exact(y)
+                out[i + j] += x * y
     return out
 
 

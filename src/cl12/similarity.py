@@ -8,7 +8,10 @@ invariants: the central parts, N and T must agree.
 
 When they do, u = cim(a) and v = cim(b) have equal central squares, so
 every q = v*p + p*u solves q*a = b*q.  The witness is the first
-invertible candidate with p = e0, e1, e2, e3, and one of them always is:
+invertible candidate with p = e0, e1, e2, e3, and one of them always is.
+With p = e_t, candidate t is a signed permutation of the coefficients:
+its coefficient k is +-v_(k^t) +- u_(k^t), signs from ``MUL_SIGN``, so
+it takes no product.
 
 * Cl(1,2) is M2(C) under the map stated in :mod:`cl12.multivector`,
   with e7 -> -i and P(x) = |det x|^2; e0..e3 are a C-basis, orthogonal
@@ -41,11 +44,21 @@ example is e1 + e2 and 1e-5 * (e1 + e2), two similar nilpotents.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from operator import sub
+from typing import NamedTuple
 
 from .inverse import SingularElement, inverse
-from .multivector import BASIS, DEFAULT_TOL, Multivector, _ntp, _reduced, _scaled, _within
+from .multivector import (
+    BASIS,
+    DEFAULT_TOL,
+    MUL_SIGN,
+    Multivector,
+    _ntp,
+    _reduced,
+    _scaled,
+    _within,
+    e0,
+)
 
 __all__ = [
     "SimilarityReason",
@@ -66,15 +79,13 @@ class SimilarityReason(enum.Enum):
     T_MISMATCH = "TMismatch"
 
 
-@dataclass(frozen=True)
-class SimilarityResult:
+class SimilarityResult(NamedTuple):
     similar: bool
     witness: Multivector | None
     reason: SimilarityReason
 
 
-@dataclass(frozen=True)
-class ConjugationMatrix:
+class ConjugationMatrix(NamedTuple):
     """Matrix of x -> q*x*q^{-1} and its central block, as tuples of rows.
 
     ``full`` is 8x8, column t the coefficients of q*e_t*q^{-1}, and
@@ -95,12 +106,23 @@ def conjugate_by(q: Multivector, x: Multivector, tol: float = DEFAULT_TOL) -> Mu
 def conjugation_matrix(q: Multivector, tol: float = DEFAULT_TOL) -> ConjugationMatrix:
     q_inv = inverse(q, tol)
     full = tuple(zip(*((q * e * q_inv).coeffs for e in BASIS)))
-    return ConjugationMatrix(full=full, block=tuple(row[1:7] for row in full[1:7]))
+    return ConjugationMatrix(full, tuple(row[1:7] for row in full[1:7]))
+
+
+# Candidate t, cb*e_t + e_t*ca, as a signed permutation: coefficient k is
+# MUL_SIGN[j][t]*cb_j + MUL_SIGN[t][j]*ca_j + 0.0 with j = k^t, which is
+# bit-identical to the two products and the sum (each product has one
+# nonzero term per coefficient, and +-0.0 terms change no sum).
+_CANDIDATE_TERMS = tuple(
+    tuple((k ^ t, float(MUL_SIGN[k ^ t][t]), float(MUL_SIGN[t][k ^ t])) for k in range(8))
+    for t in range(4)
+)
 
 
 def _candidates(ca: Multivector, cb: Multivector):
-    for p in BASIS[:4]:
-        yield cb * p + p * ca
+    a, b = ca.coeffs, cb.coeffs
+    for terms in _CANDIDATE_TERMS:
+        yield Multivector._from_floats(tuple([sb * b[j] + sa * a[j] + 0.0 for j, sb, sa in terms]))
 
 
 def witness_candidates(a: Multivector, b: Multivector) -> list[Multivector]:
@@ -112,8 +134,8 @@ def witness_candidates(a: Multivector, b: Multivector) -> list[Multivector]:
     return list(_candidates(a.cim(), b.cim()))
 
 
-def _reduced_pair(a: Multivector, b: Multivector) -> tuple[Multivector, Multivector, int, float]:
-    """(a * 2^-e, b * 2^-e, e, the larger norm of the two after scaling).
+def _reduced_pair(a: Multivector, b: Multivector) -> tuple[Multivector, Multivector, int, float, float]:
+    """(a * 2^-e, b * 2^-e, e, and the norms of the two after scaling).
 
     A pair far from norm 1 is scaled by the power of two that reduces its
     larger element, so neither the quadratic invariants nor a product of
@@ -124,7 +146,7 @@ def _reduced_pair(a: Multivector, b: Multivector) -> tuple[Multivector, Multivec
     if e:
         a, b = _scaled(a, -e), _scaled(b, -e)
         a_norm, b_norm = a.norm(), b.norm()
-    return a, b, e, max(a_norm, b_norm)
+    return a, b, e, a_norm, b_norm
 
 
 def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> SimilarityResult:
@@ -137,16 +159,18 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
     raises SingularElement when there is none.
     """
     # decided on the reduced pair; the witness is scaled back
-    a, b, e, scale = _reduced_pair(a, b)
+    a, b, e, a_norm, b_norm = _reduced_pair(a, b)
+    scale = max(a_norm, b_norm)
 
     def agree(x, y) -> bool:
         return _within(max(map(abs, map(sub, x, y))), tol, scale)
 
-    a_central = a.is_central(tol)
-    b_central = b.is_central(tol)
+    # Multivector.is_central on the norms computed above
+    a_central = _within(max(map(abs, a.coeffs[1:7])), tol, a_norm)
+    b_central = _within(max(map(abs, b.coeffs[1:7])), tol, b_norm)
     if a_central and b_central:
         if agree(a.coeffs, b.coeffs):
-            return SimilarityResult(True, Multivector.basis(0), SimilarityReason.CENTRAL_EQUAL)
+            return SimilarityResult(True, e0, SimilarityReason.CENTRAL_EQUAL)
         # central elements coincide with their own central part
         return SimilarityResult(False, None, SimilarityReason.CRE_MISMATCH)
     if a_central != b_central:
@@ -164,7 +188,7 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
     ca = a.cim()
     cb = b.cim()
     if agree(ca.coeffs, cb.coeffs):
-        return SimilarityResult(True, Multivector.basis(0), SimilarityReason.INVARIANTS_MATCH)
+        return SimilarityResult(True, e0, SimilarityReason.INVARIANTS_MATCH)
     for witness in _candidates(ca, cb):
         if not witness.is_singular(tol):
             return SimilarityResult(True, _scaled(witness, e), SimilarityReason.INVARIANTS_MATCH)

@@ -18,7 +18,10 @@ vector v read off the column with the larger diagonal entry, eigenvalue
 y - A y B = (1 - l*m) y, so the homogeneous solutions are spanned by
 v u^H and i v u^H over the pairs with l*m = 0.  These are orthogonal for
 Re tr(X^H Y), which is twice the coefficient inner product, so their
-images scaled by sqrt(2) are an orthonormal basis.  Its size is read off
+images scaled by sqrt(2) are an orthonormal basis.  Since e7 maps to -i,
+i*y is the preimage of -e7*y: with y = sum c_k e_k that is the signed
+reversal (c7, c6, c5, c4, -c3, -c2, -c1, -c0) of y's coefficients, so
+each pair costs one conversion from the 2x2 image and no product.  Its size is read off
 the two kinds alone (rows: a, columns: b):
 
                   invertible  singular  zero
@@ -30,7 +33,7 @@ the two kinds alone (rows: a, columns: b):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .inverse import MPKind, mp_inverse
 from .multivector import (
@@ -42,6 +45,7 @@ from .multivector import (
     _scaled,
     _to_m2,
     _within,
+    e0,
 )
 
 __all__ = ["SolutionSet", "solve_axb", "solve_ax", "solve_xb"]
@@ -55,13 +59,13 @@ _EIGENBASIS = {
 }
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(NamedTuple):
     """Solutions of one linear equation.
 
     ``particular`` is None when unsolvable.  ``hom_basis`` is an
     orthonormal basis (as multivectors) of the homogeneous solution space,
-    reported for unsolvable systems too; ``dim`` is its size, which the
+    reported for unsolvable systems too (a list from ``solve_axb``, empty
+    by default); ``dim`` is its size, which the
     kinds of a and b decide (the table in the module docstring).
     ``residual`` is the 2-norm of a*x*b - d at the candidate solution,
     which for an unsolvable system equals the least-squares residual of
@@ -72,7 +76,7 @@ class SolutionSet:
 
     solvable: bool
     particular: Multivector | None
-    hom_basis: list[Multivector] = field(default_factory=list)
+    hom_basis: Sequence[Multivector] = ()
     dim: int = 0
     residual: float = 0.0
 
@@ -108,25 +112,27 @@ def solve_axb(a: Multivector, b: Multivector, d: Multivector,
         for mu, (u0, u1) in right:
             if lam and mu:
                 continue
-            # sqrt(2) v u^H and its multiple by i
+            # sqrt(2) v u^H, and its multiple by i as a signed reversal
             w0, w1 = _SQRT2 * u0.conjugate(), _SQRT2 * u1.conjugate()
-            m = ((v0 * w0, v0 * w1), (v1 * w0, v1 * w1))
-            hom.append(_from_m2(m))
-            hom.append(_from_m2(tuple((1j * z, 1j * w) for z, w in m)))
+            y = _from_m2(((v0 * w0, v0 * w1), (v1 * w0, v1 * w1)))
+            c0, c1, c2, c3, c4, c5, c6, c7 = y.coeffs
+            hom.append(y)
+            hom.append(Multivector._from_floats(
+                (c7, c6, c5, c4, -c3 + 0.0, -c2 + 0.0, -c1 + 0.0, -c0 + 0.0)))
     return SolutionSet(
-        solvable=solvable,
-        particular=_scaled(x0, ed - ea - eb) if solvable else None,
-        hom_basis=hom,
-        dim=len(hom),
-        residual=_ldexp(residual, ed),  # inf when |d| is near the largest double
+        solvable,
+        _scaled(x0, ed - ea - eb) if solvable else None,
+        hom,
+        len(hom),
+        _ldexp(residual, ed),  # inf when |d| is near the largest double
     )
 
 
 def solve_ax(a: Multivector, d: Multivector, tol: float = DEFAULT_TOL) -> SolutionSet:
     """Solve a*x = d (the b = 1 specialization)."""
-    return solve_axb(a, Multivector.basis(0), d, tol)
+    return solve_axb(a, e0, d, tol)
 
 
 def solve_xb(b: Multivector, d: Multivector, tol: float = DEFAULT_TOL) -> SolutionSet:
     """Solve x*b = d (the a = 1 specialization)."""
-    return solve_axb(Multivector.basis(0), b, d, tol)
+    return solve_axb(e0, b, d, tol)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from operator import add, mul
 
 from . import oracle
@@ -45,12 +44,15 @@ from .solver import solve_axb
 __all__ = ["SuiteResult", "run_all", "random_multivector", "random_invertible", "random_singular"]
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    messages: list[str] = field(default_factory=list)
+    """Pass and fail counts of one suite, and its first five failure messages."""
+
+    __slots__ = ("name", "passed", "failed", "messages")
+
+    def __init__(self, name: str, passed: int = 0, failed: int = 0,
+                 messages: list[str] | None = None):
+        self.name, self.passed, self.failed = name, passed, failed
+        self.messages = [] if messages is None else messages
 
     def check(self, ok: bool, message: str) -> None:
         if ok:

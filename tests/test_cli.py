@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import cl12
 from cl12 import Multivector, e0, e1, e2, e3, e4, e5, e6, e7
 from cl12.cli import ParseError, main, parse_multivector
+from cl12.verify import SuiteResult
 
 
 def run(capsys, *argv):
@@ -545,6 +546,29 @@ def test_verify_runs_with_numpy_blocked():
     done = subprocess.run([sys.executable, "-c", script, "verify", "--trials", "1"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_imports_leave_dataclasses_and_inspect_out():
+    # the result types are NamedTuples, so importing the package, the CLI
+    # or the suites loads neither module (nor ast, dis and tokenize with them)
+    env = {**os.environ, "PYTHONPATH": str(Path(cl12.__file__).parents[1])}
+    for module in ("cl12", "cl12.cli", "cl12.verify"):
+        script = (f"import sys, {module}; "
+                  "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), (module, done.stderr)
+
+
+def test_suite_result_counts_and_keeps_five_messages():
+    res = SuiteResult("s")
+    for n in range(8):
+        res.check(n % 4 == 0, f"m{n}")
+    assert (res.name, res.passed, res.failed, res.messages, res.ok) == (
+        "s", 2, 6, ["m1", "m2", "m3", "m5", "m6"], False)
+    assert SuiteResult("t").ok and SuiteResult("t").messages == []
+    with pytest.raises(AttributeError):
+        res.extra = 1  # __slots__
 
 
 def test_library_has_no_assert_statements():

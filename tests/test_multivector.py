@@ -6,8 +6,29 @@ import random
 import pytest
 from hypothesis import given
 
-from cl12 import Functionals, Multivector, e0, e1, e2, e3, e4, e5, e6, e7
-from cl12 import is_similar, mp_inverse, solve_axb
+from cl12 import (
+    ConjugationMatrix,
+    EigenSpectrum,
+    Functionals,
+    MPResult,
+    Multivector,
+    SimilarityResult,
+    SolutionSet,
+    conjugation_matrix,
+    e0,
+    e1,
+    e2,
+    e3,
+    e4,
+    e5,
+    e6,
+    e7,
+    eigenvalues,
+    is_similar,
+    mp_inverse,
+    oracle,
+    solve_axb,
+)
 from cl12.multivector import MUL_SIGN
 from support import multivectors, random_singular, small_scalars
 
@@ -167,11 +188,38 @@ def test_pickle_and_copy_round_trip():
     # immutability refuses the default state restore; __reduce__ rebuilds
     # through the constructor, also inside the result types
     values = (e1, 2.5 * e3 - e7, mp_inverse(e1 + e2), solve_axb(e1 + e2, e0, e1 + e2),
-              is_similar(e2, e6))
+              is_similar(e2, e6), eigenvalues(e1 + 2 * e7), conjugation_matrix(e0 + e2),
+              oracle.exact_solve([[1, 2], [2, 4]], [1, 2]))
     for x in values:
         for clone in (copy.copy, copy.deepcopy, lambda y: pickle.loads(pickle.dumps(y))):
             y = clone(x)
             assert type(y) is type(x) and y == x
+
+
+#: Every result type with its fields, in order.
+RESULT_FIELDS = {
+    MPResult: ("pinv", "kind", "condition"),
+    EigenSpectrum: ("values", "multiplicity"),
+    SolutionSet: ("solvable", "particular", "hom_basis", "dim", "residual"),
+    SimilarityResult: ("similar", "witness", "reason"),
+    ConjugationMatrix: ("full", "block"),
+    oracle.ExactSolution: ("consistent", "particular", "nullspace"),
+}
+
+
+def test_result_types_are_named_tuples_with_frozen_fields():
+    values = (mp_inverse(e1 + e2), eigenvalues(e1 + 2 * e7), solve_axb(e1 + e2, e0, e1),
+              is_similar(e2, e6), conjugation_matrix(e0 + e2),
+              oracle.exact_solve([[1, 2], [2, 4]], [1, 2]))
+    assert [type(x) for x in values] == list(RESULT_FIELDS)
+    for x in values:
+        assert type(x)._fields == RESULT_FIELDS[type(x)]
+        for name in type(x)._fields:
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+    assert EigenSpectrum((1j, -1j, 1j, -1j)).multiplicity == 2
+    assert SolutionSet(True, e0).hom_basis == () and SolutionSet(True, e0).dim == 0
+    assert solve_axb(e0, e0, e1).hom_basis == []  # solve_axb returns a list
 
 
 def test_equality_and_hash():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cl12 import (
+    BASIS,
     Multivector,
     e0,
     e1,
@@ -18,8 +19,11 @@ from cl12 import (
     solve_axb,
     solve_xb,
     vectorize,
+    witness_candidates,
 )
-from cl12 import oracle
+from cl12 import mp_inverse, oracle
+from cl12.multivector import _reduced
+from cl12.solver import _eigenbasis
 from support import (
     random_invertible,
     random_multivector,
@@ -119,3 +123,66 @@ def test_zero_equation():
     assert not sol.solvable and sol.dim == 8
     sol0 = solve_axb(Multivector.zero(), e0, Multivector.zero())
     assert sol0.solvable and sol0.particular == Multivector.zero() and sol0.dim == 8
+
+
+# -- bit identity with the generic formulas -----------------------------------
+
+
+def _ref_from_m2(m):
+    # the preimage of a 2x2 image through the generic constructor
+    (m00, m01), (m10, m11) = m
+    return Multivector((
+        (m00.real + m11.real) / 2, (m00.real - m11.real) / 2,
+        (m01.imag + m10.imag) / 2, (m01.imag - m10.imag) / 2,
+        (m01.real - m10.real) / 2, (m01.real + m10.real) / 2,
+        (m11.imag - m00.imag) / 2, -(m00.imag + m11.imag) / 2,
+    ))
+
+
+def _ref_hom_basis(a, b):
+    # sqrt(2) v u^H and its product with 1j, both through _ref_from_m2
+    (a, _, _), (b, _, _) = _reduced(a), _reduced(b)
+    ma, mb = mp_inverse(a), mp_inverse(b)
+    hom = []
+    for lam, (v0, v1) in _eigenbasis(ma.kind, ma.pinv, a):
+        for mu, (u0, u1) in _eigenbasis(mb.kind, b, mb.pinv):
+            if lam and mu:
+                continue
+            w0, w1 = math.sqrt(2.0) * u0.conjugate(), math.sqrt(2.0) * u1.conjugate()
+            m = ((v0 * w0, v0 * w1), (v1 * w0, v1 * w1))
+            hom += [_ref_from_m2(m), _ref_from_m2(tuple((1j * z, 1j * w) for z, w in m))]
+    return hom
+
+
+def _ref_parts(a):
+    # conjugate, prime, cre, cim and split_h through the generic constructor
+    c = a.coeffs
+    return [Multivector((c[0], -c[1], -c[2], -c[3], -c[4], -c[5], -c[6], c[7])),
+            Multivector((c[0], c[1], -c[2], c[3], -c[4], c[5], -c[6], -c[7])),
+            Multivector((c[0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, c[7])),
+            Multivector((0.0, *c[1:7], 0.0)),
+            Multivector((*c[:4], 0.0, 0.0, 0.0, 0.0)),
+            Multivector((*c[4:], 0.0, 0.0, 0.0, 0.0))]
+
+
+def _draw_operand(rng):
+    kind = rng.choice(("sparse", "singular", "zero", "invertible"))
+    if kind == "zero":
+        return Multivector.zero()
+    if kind == "sparse":
+        a = Multivector([rng.randint(-5, 5) if rng.random() < 0.3 else 0 for _ in range(8)])
+    else:
+        a = {"singular": random_singular, "invertible": random_invertible}[kind](rng)
+    return a * 2.0 ** rng.choice((0, 0, -1000, 1000))
+
+
+def test_composites_bit_identical_to_reference():
+    # repr tells every float apart, -0.0 from 0.0 included
+    rng = random.Random(18)
+    for _ in range(400):
+        a, b = _draw_operand(rng), _draw_operand(rng)
+        assert repr(solve_axb(a, b, a).hom_basis) == repr(_ref_hom_basis(a, b))
+        ca, cb = _ref_parts(a)[3], _ref_parts(b)[3]
+        assert repr(witness_candidates(a, b)) == repr([cb * p + p * ca for p in BASIS[:4]])
+        parts = [a.conjugate(), a.prime(), a.cre(), a.cim(), *a.split_h()]
+        assert repr(parts) == repr(_ref_parts(a))
