@@ -34,7 +34,7 @@ print(f"consistent: {sol.consistent}, nullity: {len(sol.nullspace)}")
 print(f"particular solution vector: {sol.particular}")
 print()
 
-print("== characteristic polynomial (Faddeev-LeVerrier, exact) ==")
+print("== characteristic polynomial (Berkowitz, exact) ==")
 pol = oracle.char_poly(oracle.fleft_matrix(e7))
 quad = [1, 0, 1]
 print(f"char poly of L(e7): {pol}")

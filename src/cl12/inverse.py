@@ -76,7 +76,12 @@ def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
     pinv(2^k a) is exactly pinv(a) / 2^k; a result that overflows raises
     ValueError.
     """
-    r, e, s = _reduced(a)
+    return _mp_inverse_reduced(*_reduced(a), tol)
+
+
+def _mp_inverse_reduced(r: Multivector, e: int, s: float, tol: float) -> MPResult:
+    """:func:`mp_inverse` of ``r * 2^e`` from ``(r, e, s)`` as :func:`_reduced`
+    returns them; a caller that holds a reduced operand passes e = 0."""
     c0, c1, c2, c3, c4, c5, c6, c7 = c = r.coeffs
     n, t, p = _ntp(c)
     if not _within(p, tol, s * s):

@@ -7,13 +7,15 @@ exact.  Two independent layers:
 * generic linear algebra on small rational matrices: reduced row echelon
   form, rank, fraction-free determinant, pseudoinverse via full-rank
   factorization, linear solve with nullspace basis, and the
-  characteristic polynomial by the Faddeev-LeVerrier recurrence;
+  characteristic polynomial by Berkowitz's division-free recurrence;
 
 * a mirror of the multivector closed forms (product, involutions, scalar
   forms, inverses, representation matrices) built on a blade table that is
   re-derived from the generator rules i1^2 = +1, i2^2 = i3^2 = -1 with
   anticommutation - deliberately not shared with the hand-transcribed
-  table in :mod:`cl12.multivector`, so each validates the other.
+  table in :mod:`cl12.multivector`, so each validates the other.  The
+  product ``fmul`` runs a straight-line integer product generated from
+  that table at import.
 
 Matrices are plain lists of lists; vectors are lists.  The matrix kernels
 (``matmul``, ``mat_vec``, ``rref``, ``rank``, ``exact_det``,
@@ -27,7 +29,9 @@ done on the integer numerators, and each output entry is divided back
 once (``scaled_pinv`` hands the denominator back instead).
 No kernel modifies its input.  Elimination is one fraction-free
 Gauss-Jordan pass (Bareiss 1968): every update ``(p*x - f*y) // prev`` is
-an exact integer division.  These kernels return an int wherever the exact
+an exact integer division.  ``rank`` and ``exact_det`` read only the
+pivots, the last pivot and the parity of the row swaps, so their pass
+stops at echelon form.  These kernels return an int wherever the exact
 value is whole and a Fraction only where it is not.  The elementwise
 helpers (``fadd``, ``fscale``, ``ffunctionals``, ...) use plain Python
 arithmetic and may return a whole-valued Fraction when given Fractions.
@@ -201,23 +205,36 @@ def fscale(lam, a) -> tuple:
     return tuple(lam * x for x in fvec(a))
 
 
+def _generate_fmul_ints():
+    # One signed term a_i*b_j per blade pair, collected on e_(GEN_INDEX[i][j]).
+    terms: list[list[str]] = [[] for _ in range(8)]
+    for i in range(8):
+        for j in range(8):
+            terms[GEN_INDEX[i][j]].append(f" {'+' if GEN_SIGN[i][j] > 0 else '-'} a{i}*b{j}")
+    source = (
+        "def _fmul_ints(a, b):\n"
+        f"    {', '.join(f'a{i}' for i in range(8))} = a\n"
+        f"    {', '.join(f'b{j}' for j in range(8))} = b\n"
+        "    return (\n"
+        + "".join(f"        {''.join(t).lstrip(' +')},\n" for t in terms)
+        + "    )\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, "<cl12.oracle._fmul_ints>", "exec"), namespace)
+    return namespace["_fmul_ints"]
+
+
+#: _fmul_ints(a, b) -> the eight coefficients of a*b for integer a and b.
+_fmul_ints = _generate_fmul_ints()
+
+
 def fmul(a, b) -> tuple:
     """Exact algebra product over the generator-derived table."""
     da, (a,) = _integral((fvec(a),))
     db, (b,) = _integral((fvec(b),))
-    out = [0] * 8
-    for i in range(8):
-        ai = a[i]
-        if not ai:
-            continue
-        signs = GEN_SIGN[i]
-        index = GEN_INDEX[i]
-        for j in range(8):
-            bj = b[j]
-            if bj:
-                out[index[j]] += signs[j] * ai * bj
+    out = _fmul_ints(a, b)
     den = da * db
-    return tuple(out) if den == 1 else tuple(_ratio(x, den) for x in out)
+    return out if den == 1 else tuple(_ratio(x, den) for x in out)
 
 
 def fconjugate(a) -> tuple:
@@ -347,7 +364,8 @@ def mat_vec(a, v) -> list:
     return out if den == 1 else [_ratio(x, den) for x in out]
 
 
-def _rref_ints(a: list[list[int]], limit: int) -> tuple[list[list[int]], list[int], int, int]:
+def _rref_ints(a: list[list[int]], limit: int, *,
+               echelon: bool = False) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
     Takes the pivots as :func:`rref` does and returns ``(F, pivots, d,
@@ -359,6 +377,12 @@ def _rref_ints(a: list[list[int]], limit: int) -> tuple[list[list[int]], list[in
     ``(p*x - f*y) // prev`` is exact by Sylvester's identity (Bareiss
     1968), so every entry stays an int.  Rows are replaced, never written
     to, so only the outer list is copied and ``a`` is left as it was.
+
+    ``echelon=True`` stops at the fraction-free echelon form: the rows
+    above each pivot are left alone, so F matches the full pass only in
+    the rows below the rank.  The rows at and below each pivot get the
+    same updates as in the full pass, so ``pivots``, ``d`` and ``sign`` are
+    the same; ``rank`` and ``exact_det`` read nothing else.
     """
     a = list(a)
     nrows = len(a)
@@ -374,7 +398,7 @@ def _rref_ints(a: list[list[int]], limit: int) -> tuple[list[list[int]], list[in
             sign = -sign
         top = a[r]
         p = top[col]
-        for i in range(nrows):
+        for i in range(r + 1 if echelon else 0, nrows):
             if i != r:
                 f = a[i][col]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
@@ -409,16 +433,17 @@ def rref(m, pivot_limit: int | None = None) -> tuple[list[list], list[int]]:
 
 def rank(m) -> int:
     a = _integral(m)[1]
-    return len(_rref_ints(a, len(a[0]) if a else 0)[1])
+    return len(_rref_ints(a, len(a[0]) if a else 0, echelon=True)[1])
 
 
 def exact_det(m):
-    """Determinant by fraction-free (Bareiss) elimination; 1 for 0 x 0."""
+    """Determinant by fraction-free (Bareiss) elimination to echelon form:
+    the last pivot times the parity of the row swaps; 1 for 0 x 0."""
     den, a = _integral(m)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
-    _, pivots, d, sign = _rref_ints(a, n)
+    _, pivots, d, sign = _rref_ints(a, n, echelon=True)
     return _ratio(sign * d, den**n) if len(pivots) == n else 0
 
 
@@ -487,27 +512,29 @@ def exact_solve(m, b: Sequence) -> ExactSolution:
     """Solve A x = b exactly; free variables are set to zero.
 
     The nullspace basis (one vector per free column) is returned whether
-    or not the system is consistent.
+    or not the system is consistent.  One fraction-free pass over the
+    integer [A | b] gives d times its reduced form, and only the entries
+    returned are divided by d.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     if len(b) != nrows:
         raise ValueError("right-hand side length does not match row count")
-    red, piv = rref([[*row, bv] for row, bv in zip(m, b)], pivot_limit=ncols)
+    red, piv, d, _ = _rref_ints(_integral([[*row, bv] for row, bv in zip(m, b)])[1], ncols)
     r = len(piv)
     consistent = all(not red[i][ncols] for i in range(r, nrows))
     particular: list | None = None
     if consistent:
         particular = [0] * ncols
         for i, col in enumerate(piv):
-            particular[col] = red[i][ncols]
+            particular[col] = _ratio(red[i][ncols], d)
     free = [j for j in range(ncols) if j not in piv]
     nullspace = []
     for j in free:
         v = [0] * ncols
         v[j] = 1
         for i, col in enumerate(piv):
-            v[col] = -red[i][j]
+            v[col] = _ratio(-red[i][j], d)
         nullspace.append(v)
     return ExactSolution(consistent, particular, nullspace)
 
@@ -520,27 +547,31 @@ def exact_solve(m, b: Sequence) -> ExactSolution:
 def char_poly(m) -> list:
     """Monic characteristic polynomial det(lambda I - A), descending powers.
 
-    Computed by the Faddeev-LeVerrier trace recurrence; exact for rational
-    entries.  For an n x n input the list has n + 1 coefficients and the
-    leading one is 1.
+    Computed by Berkowitz's division-free recurrence (1984); exact for
+    rational entries.  For an n x n input the list has n + 1 coefficients
+    and the leading one is 1.
     """
     den, a = _integral(m)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("characteristic polynomial needs a square matrix")
-    # On the integer matrix den*A every coefficient and every iterate is an
-    # integer, so the division by k is exact; coefficient k of den*A is
-    # den**k times that of A.
+    # Grow the leading block one row and column at a time: with A_k the
+    # leading k x k block of the integer matrix den*A, its new row r, its
+    # new column c and corner x, the polynomial of A_(k+1) is the Toeplitz
+    # product of (1, -x, -r c, -r A_k c, ..., -r A_k^(k-1) c) with that of
+    # A_k.  Everything stays an integer; coefficient k of den*A is den**k
+    # times that of A.
     coeffs = [1]
-    work = [list(row) for row in a]
-    for k in range(1, n + 1):
-        c = -sum(work[i][i] for i in range(n)) // k
-        coeffs.append(c)
-        if k == n:
-            break
-        for i in range(n):
-            work[i][i] += c
-        work = matmul(a, work)
+    for k in range(n):
+        row, block = a[k], a[:k]
+        t = [1, -row[k]]
+        if k:
+            v = [r[k] for r in block]
+            t.append(-sum(map(mul, row, v)))  # map stops at v's k entries
+            for _ in range(k - 1):
+                v = [sum(map(mul, r, v)) for r in block]
+                t.append(-sum(map(mul, row, v)))
+        coeffs = [sum(map(mul, coeffs, t[i::-1])) for i in range(k + 2)]
     return coeffs if den == 1 else [_ratio(c, den**k) for k, c in enumerate(coeffs)]
 
 

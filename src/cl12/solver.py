@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .inverse import MPKind, mp_inverse
+from .inverse import MPKind, _mp_inverse_reduced
 from .multivector import (
     DEFAULT_TOL,
     Multivector,
@@ -100,8 +100,8 @@ def solve_axb(a: Multivector, b: Multivector, d: Multivector,
     # Work on the operands reduced by powers of two (see _reduced), so that
     # no product below leaves the normal range and the verdict does not
     # depend on their scales; x scales back by 2^(ed - ea - eb).
-    (a, ea, _), (b, eb, _), (d, ed, _) = _reduced(a), _reduced(b), _reduced(d)
-    ma, mb = mp_inverse(a, tol), mp_inverse(b, tol)
+    (a, ea, sa), (b, eb, sb), (d, ed, _) = _reduced(a), _reduced(b), _reduced(d)
+    ma, mb = _mp_inverse_reduced(a, 0, sa, tol), _mp_inverse_reduced(b, 0, sb, tol)
     p, q = ma.pinv, mb.pinv
     x0 = p * d * q
     residual = (a * x0 * b - d).norm()

@@ -550,11 +550,15 @@ def test_verify_runs_with_numpy_blocked():
 
 def test_imports_leave_dataclasses_and_inspect_out():
     # the result types are NamedTuples, so importing the package, the CLI
-    # or the suites loads neither module (nor ast, dis and tokenize with them)
+    # or the suites loads neither module (nor ast, dis and tokenize with them);
+    # the package alone loads neither the oracle, whose integer product is
+    # generated at import, nor fractions
     env = {**os.environ, "PYTHONPATH": str(Path(cl12.__file__).parents[1])}
     for module in ("cl12", "cl12.cli", "cl12.verify"):
-        script = (f"import sys, {module}; "
-                  "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        banned = {"dataclasses", "inspect"}
+        if module == "cl12":
+            banned |= {"cl12.oracle", "fractions"}
+        script = f"import sys, {module}; print(sorted(set({sorted(banned)!r}) & set(sys.modules)))"
         done = subprocess.run([sys.executable, "-c", script],
                               env=env, capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (0, "[]\n"), (module, done.stderr)

@@ -172,6 +172,18 @@ def test_fmul_agrees_with_library_product():
         assert oracle.fmul(a, b) == oracle.fvec(a * b)
 
 
+def test_generated_product_follows_the_generator_table():
+    # the straight-line integer product is generated from GEN_SIGN and
+    # GEN_INDEX; read back blade by blade it must give the table itself
+    blades = [tuple(int(k == i) for k in range(8)) for i in range(8)]
+    for i in range(8):
+        for j in range(8):
+            want = [0] * 8
+            want[oracle.GEN_INDEX[i][j]] = oracle.GEN_SIGN[i][j]
+            assert oracle._fmul_ints(blades[i], blades[j]) == tuple(want), (i, j)
+            assert oracle.fmul(blades[i], blades[j]) == tuple(want), (i, j)
+
+
 def test_ffunctionals_agree_with_floats():
     rng = random.Random(131)
     for _ in range(100):
@@ -400,13 +412,31 @@ def test_kernels_match_fraction_reference():
         if nrows == ncols:
             assert oracle.exact_det(a) == _ref_det(a)
             # a monic degree-n polynomial is fixed by its values at n points;
-            # Faddeev-LeVerrier and Bareiss share no code but the denominators
+            # Berkowitz and Bareiss share no code but the denominators
             pol = oracle.char_poly(a)
             assert len(pol) == nrows + 1 and pol[0] == 1
             for lam in range(nrows):
                 shifted = [[lam * (i == j) - x for j, x in enumerate(row)]
                            for i, row in enumerate(a)]
                 assert oracle.poly_eval(pol, lam) == oracle.exact_det(shifted)
+
+
+def test_echelon_pass_keeps_pivots_last_pivot_and_parity():
+    # rank and exact_det stop at echelon form; the rows at and below each
+    # pivot must still see the full Gauss-Jordan pass's updates
+    for a, rng in _matrices(241, 600):
+        ncols = len(a[0])
+        if rng.randrange(2):
+            a = _frac_matrix(a)
+        ints = oracle._integral(a)[1]
+        for limit in (ncols, rng.randint(0, ncols)):
+            full = oracle._rref_ints(ints, limit)
+            echelon = oracle._rref_ints(ints, limit, echelon=True)
+            assert echelon[1:] == full[1:], (a, limit)
+            r = len(full[1])
+            assert echelon[0][r:] == full[0][r:]  # rows below the rank agree too
+    square = oracle.fleft_matrix(e0 + e2 + e6)
+    assert oracle._rref_ints(square, 8, echelon=True)[1:] == oracle._rref_ints(square, 8)[1:]
 
 
 def test_left_matrix_char_poly_matches_fraction_reference():
