@@ -558,7 +558,7 @@ def test_imports_leave_dataclasses_and_inspect_out():
         banned = {"dataclasses", "inspect"}
         if module == "cl12":
             banned |= {"cl12.oracle", "fractions"}
-        script = f"import sys, {module}; print(sorted(set({sorted(banned)!r}) & set(sys.modules)))"
+        script = f"import sys, {module}; print(sorted({banned!r} & set(sys.modules)))"
         done = subprocess.run([sys.executable, "-c", script],
                               env=env, capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (0, "[]\n"), (module, done.stderr)
