@@ -74,13 +74,6 @@ def random_multivector(rng: random.Random, lo: int = -5, hi: int = 5) -> Multive
     return Multivector([rng.randint(lo, hi) for _ in range(8)])
 
 
-def random_nonzero(rng: random.Random) -> Multivector:
-    while True:
-        a = random_multivector(rng)
-        if not a.is_zero():
-            return a
-
-
 def random_invertible(rng: random.Random, tol: float = DEFAULT_TOL) -> Multivector:
     while True:
         a = random_multivector(rng)
@@ -285,21 +278,11 @@ def _suite_inverse(res: SuiteResult, trials: int, seed: int, tol: float) -> None
         a = _mixed(rng)
         fa = oracle.fvec(a)
         den, x = oracle.scaled_mp_inverse(fa)  # pinv(a) = x / den
-        ax, xa, da = oracle.fmul(fa, x), oracle.fmul(x, fa), _times(den, fa)
-        res.check(oracle.fmul(ax, fa) == da, f"trial {n}: a x a = a")
+        ax, xa = oracle.fmul(fa, x), oracle.fmul(x, fa)
+        res.check(oracle.fmul(ax, fa) == _times(den, fa), f"trial {n}: a x a = a")
         res.check(oracle.fmul(xa, x) == _times(den, x), f"trial {n}: x a x = x")
         res.check(oracle.fprime(ax) == ax and oracle.fprime(xa) == xa,
                   f"trial {n}: prime-symmetry of a x and x a")
-
-        # any perturbation must break at least one of the four conditions
-        broke = 0
-        for _ in range(10):
-            cand = oracle.fadd(x, _times(den, oracle.fvec(random_nonzero(rng))))
-            ca, ac = oracle.fmul(cand, fa), oracle.fmul(fa, cand)
-            if (oracle.fmul(ac, fa) != da or oracle.fmul(ca, cand) != _times(den, cand)
-                    or oracle.fprime(ac) != ac or oracle.fprime(ca) != ca):
-                broke += 1
-        res.check(broke == 10, f"trial {n}: uniqueness perturbations ({broke}/10 broke)")
 
         la = oracle.fleft_matrix(fa)
         res.check(_same_ratio(den, oracle.fleft_matrix(x), *oracle.scaled_pinv(la)),

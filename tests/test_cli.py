@@ -392,7 +392,7 @@ def test_verify_json(capsys):
     assert [(s["name"], s["passed"], s["failed"]) for s in payload["suites"]] == [
         ("multivector", 3201, 0),
         ("matrix-rep", 3400, 0),
-        ("inverse", 1904, 0),
+        ("inverse", 1705, 0),
         ("solver", 1300, 0),
         ("similarity", 1600, 0),
         ("oracle", 1901, 0),

@@ -1,0 +1,41 @@
+"""The mutant catalogue (``mutants/``) cannot drift from the code it mutates.
+
+The full kill matrix takes about 35 s and runs in CI as its own step;
+these checks are cheap: every entry still applies, every test it names is
+collected, and the runner tells a caught mutant from an equivalent one.
+"""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("mutants_run", ROOT / "mutants" / "run.py")
+run = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run)
+
+
+def test_every_old_text_occurs_once_and_differs_from_the_new():
+    assert run.problems() == []
+
+
+def test_pytest_collects_every_named_test():
+    named = sorted({t for m in run.MUTANTS for t in m.tests})
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *named],
+        cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    collected = proc.stdout.splitlines()
+    for test in named:
+        assert any(line == test or line.startswith(test + "[") for line in collected), test
+
+
+def test_runner_catches_a_mutant_and_not_an_equivalent_one():
+    comment = run.Mutant("comment", "src/cl12/verify.py", "# -- suites ", "# -- the suites ",
+                         "an edit inside a comment")
+    assert run.problems([comment]) == []
+    assert run.kill(comment, 2).catchers == {}
+    product = next(m for m in run.MUTANTS if m.name == "generated product takes b*a")
+    caught = run.kill(product, 2)
+    assert "multivector: product disagrees with rational mirror" in map(caught.labels.get, caught.catchers)

@@ -75,6 +75,11 @@ def test_scaled_mp_inverse_is_fmp_inverse_over_one_positive_denominator():
             assert oracle.fmp_inverse(c) == want
             if oracle.ffunctionals(c).P:
                 assert oracle.finverse(c) == want
+            # fmp_inverse divides this same output, so only the Penrose
+            # equations on c itself see a numerator that lost c's lcm
+            ax, xa = oracle.fmul(c, want), oracle.fmul(want, c)
+            assert oracle.fmul(ax, c) == c and oracle.fmul(xa, want) == want
+            assert oracle.fprime(ax) == ax and oracle.fprime(xa) == xa
     assert oracle.scaled_mp_inverse(e1 + e2) == (4, (0, 1, -1, 0, 0, 0, 0, 0))
     assert oracle.scaled_mp_inverse(Multivector.zero()) == (1, (0,) * 8)
 
