@@ -1,14 +1,13 @@
-"""Run ``verify`` and named tier-1 tests on one copy of the source tree.
+"""The child process of ``run.py``: ``verify`` and named tier-1 tests on one copy.
 
 Usage::
 
     python mutants/child.py COPY TRIALS SEED [TEST_ID ...]
 
 COPY holds ``src/``, ``tests/`` and ``pyproject.toml``; run it with COPY
-as the working directory.  ``cl12`` is imported from ``COPY/src``.  The
-child runs ``run_all(TRIALS, SEED)`` with ``SuiteResult.check`` wrapped to
-count the failures of each check, then the named tests through pytest in
-the same process.  The last line of standard output is one JSON object:
+as the working directory.  ``cl12`` is imported from ``COPY/src``, and
+the named tests run through pytest in the same process.  The last line of
+standard output is one JSON object:
 
 * ``checks``: ``{"suite:line": [label, failures]}`` for every line of
   ``cl12.verify`` that called ``check``, labelled by its first message

@@ -1,19 +1,27 @@
 """Kill matrix of the mutant catalogue: which checks catch each mutant.
 
-Usage, from the root of the repository::
+Usage, from the root of the repository (no install needed)::
 
     python mutants/run.py
 
-For each mutant of ``catalogue.MUTANTS`` the runner copies ``src/``,
-``tests/`` and ``pyproject.toml`` to a temporary directory, applies the
-edit there, and runs ``child.py`` in it: ``verify.run_all(200, 7)`` with
-the failures of each check counted, then the tier-1 tests the entry
-names.  The unmutated copy runs first, with every named test; it must pass
-them all, and it gives each check its label.  The matrix has one row per
+A mutant is a one-line edit of the source that changes behaviour on some
+input.  For each mutant of ``catalogue.MUTANTS`` the runner copies
+``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory,
+applies the edit there, and runs ``child.py`` in it:
+``verify.run_all(200, 7)`` with the failures of each check counted, then
+the tier-1 tests the entry names.  The library is not changed for this.
+The runner checks that every ``cl12`` module the child loaded came from
+the copy; without that, an editable install or pytest's ``pythonpath``
+could quietly test the unmutated tree.
+
+The unmutated copy runs first, with every named test; it must pass them
+all, and it gives each check its label.  The matrix has one row per
 check or named test and one column per mutant; a cell is the check's
 failure count, ``F`` for a failed test, ``R`` for a suite that raised,
 ``C`` for a child that crashed or timed out.  A row's ``sole`` counts the
-mutants that it alone catches.
+mutants that it alone catches.  A row whose ``sole`` is 0 is a candidate
+for deletion, but only a candidate: the catalogue samples the possible
+mutations, it does not list them all.
 
 Exit status 1 when an entry's old text does not occur exactly once, when
 the unmutated copy fails anything, when a child imported ``cl12`` from
@@ -62,7 +70,7 @@ def problems(mutants=MUTANTS) -> list[str]:
     return out
 
 
-def kill(mutant: Mutant | None, trials: int, seed: int = SEED, tests=None) -> Kill:
+def kill(mutant: Mutant | None, trials: int, tests=None) -> Kill:
     """Run one mutant (``None``: the unmutated tree) on a temporary copy.
 
     ``tests`` defaults to the tests the entry names.  Raises RuntimeError
@@ -79,7 +87,7 @@ def kill(mutant: Mutant | None, trials: int, seed: int = SEED, tests=None) -> Ki
             path.write_text(path.read_text().replace(mutant.old, mutant.new, 1))
         try:
             proc = subprocess.run(
-                [sys.executable, str(HERE / "child.py"), str(copy), str(trials), str(seed), *tests],
+                [sys.executable, str(HERE / "child.py"), str(copy), str(trials), str(SEED), *tests],
                 cwd=copy, capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return Kill({"crashed": "C"}, {"crashed": f"timed out after {TIMEOUT_S} s"})
