@@ -23,6 +23,7 @@ class Mutant(NamedTuple):
 
 ORACLE, VERIFY = "src/cl12/oracle.py", "src/cl12/verify.py"
 INVERSE, MULTIVECTOR = "src/cl12/inverse.py", "src/cl12/multivector.py"
+MATREP = "src/cl12/matrep.py"
 RAN_BY_UNIQUENESS = "a function the deleted uniqueness-perturbation check ran"
 
 MUTANTS = (
@@ -110,4 +111,26 @@ MUTANTS = (
     Mutant("echelon pass skips the row below the pivot", ORACLE,
            "range(r + 1 if echelon else 0, nrows)", "range(r + 2 if echelon else 0, nrows)",
            "CHANGES.md: echelon-only rank and det"),
+    # mutants aimed at the blade-table facts verify checks once per run
+    Mutant("MUL_SIGN[2][4] flipped", MULTIVECTOR,
+           "(1, 1, 1, 1, 1, 1, 1, 1),\n    (1, -1, -1, 1, 1, -1, -1, 1),",
+           "(1, 1, 1, 1, 1, 1, 1, 1),\n    (1, -1, -1, 1, -1, -1, -1, 1),",
+           "CHANGES.md M01"),
+    Mutant("MUL_SIGN[4][7] = +1", MULTIVECTOR,
+           "(1, -1, -1, 1, 1, -1, -1, 1),\n    (1, -1, -1, 1, -1, 1, 1, -1),",
+           "(1, -1, -1, 1, 1, -1, -1, 1),\n    (1, -1, -1, 1, -1, 1, 1, 1),",
+           "CHANGES.md: PR 9's mutation table"),
+    Mutant("conjugate keeps c3", MULTIVECTOR,
+           "(c0, -c1 + 0.0, -c2 + 0.0, -c3 + 0.0,", "(c0, -c1 + 0.0, -c2 + 0.0, c3,",
+           "CHANGES.md M03"),
+    Mutant("R(e3) negated in the generated right_matrix", MATREP,
+           "lambda k, i: (MUL_SIGN[i][k ^ i], k ^ i))",
+           "lambda k, i: (MUL_SIGN[i][k ^ i] * (-1 if k ^ i == 3 else 1), k ^ i))",
+           "CHANGES.md M07"),
+    Mutant("K8[2][2] is +1", MATREP,
+           "K8 = _diagonal((1.0, 1.0, -1.0,", "K8 = _diagonal((1.0, 1.0, 1.0,",
+           "the deleted matrix-rep check \"R from L by K8 conjugation\""),
+    Mutant("S8[7][7] is +1", MATREP,
+           "1.0, -1.0, 1.0, -1.0))", "1.0, -1.0, 1.0, 1.0))",
+           "CHANGES.md M09"),
 )

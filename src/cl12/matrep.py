@@ -8,16 +8,19 @@ multiplication table at import time, as ``multivector._mul_coeffs`` is:
 e_i e_j = s e_(i^j) puts s*c_i at L(a)[i^j][j] and s*c_j at
 R(a)[i^j][i], so every entry is one signed coefficient, written
 ``0.0 + c_i`` or ``0.0 - c_i``.  No rounding occurs, and no entry is
--0.0.  The ``verify`` suites compare L(a) against
-``cl12.oracle.fleft_matrix``, built from the oracle's own
-generator-derived table.
+-0.0.
 
-Structural facts used throughout the package:
+Structural facts used throughout the package, and where ``verify``
+checks each (a table fact runs once per run, exactly, on the blades):
 
 * L is a ring homomorphism: L(a*b) = L(a) L(b), and R reverses order.
+  Table fact: associativity of ``MUL_SIGN``; each matrix-rep draw
+  checks L(a) and R(a) against the oracle's (``fleft_matrix``, built
+  from the oracle's own generator-derived table).
 * R(a) = K8 L(a)^T K8 and the two involutions transport to
-  transposition: L(a.prime()) = L(a)^T, L(a.conjugate()) = S8 L(a)^T S8.
-* det L(a) = det R(a) = P(a)^2.
+  transposition: L(a.prime()) = L(a)^T, L(a.conjugate()) = S8 L(a)^T S8,
+  and the same for R.  Table fact: sign identities on ``MUL_SIGN``, K8, S8.
+* det L(a) = det R(a) = P(a)^2: exact, on each matrix-rep draw.
 """
 
 from __future__ import annotations

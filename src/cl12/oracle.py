@@ -33,7 +33,7 @@ an exact integer division.  ``rank`` and ``exact_det`` read only the
 pivots, the last pivot and the parity of the row swaps, so their pass
 stops at echelon form.  These kernels return an int wherever the exact
 value is whole and a Fraction only where it is not.  The elementwise
-helpers (``fadd``, ``fscale``, ``ffunctionals``, ...) use plain Python
+helpers (``fadd``, ``fconjugate``, ``ffunctionals``, ...) use plain Python
 arithmetic and may return a whole-valued Fraction when given Fractions.
 
 The two inverses keep that one denominator in the open: ``scaled_pinv``
@@ -66,13 +66,10 @@ __all__ = [
     "ExactSolution",
     "fvec",
     "fadd",
-    "fsub",
-    "fscale",
     "fmul",
     "fconjugate",
     "fprime",
     "fcre",
-    "fcim",
     "ffunctionals",
     "scaled_mp_inverse",
     "finverse",
@@ -92,7 +89,6 @@ __all__ = [
     "exact_solve",
     "char_poly",
     "poly_mul",
-    "poly_derivative",
     "poly_eval",
     "poly_eval_gaussian",
 ]
@@ -196,15 +192,6 @@ def fadd(a, b) -> tuple:
     return tuple(x + y for x, y in zip(fvec(a), fvec(b)))
 
 
-def fsub(a, b) -> tuple:
-    return tuple(x - y for x, y in zip(fvec(a), fvec(b)))
-
-
-def fscale(lam, a) -> tuple:
-    lam = _exact(lam)
-    return tuple(lam * x for x in fvec(a))
-
-
 def _generate_fmul_ints():
     # One signed term a_i*b_j per blade pair, collected on e_(GEN_INDEX[i][j]).
     terms: list[list[str]] = [[] for _ in range(8)]
@@ -250,11 +237,6 @@ def fprime(a) -> tuple:
 def fcre(a) -> tuple:
     c = fvec(a)
     return (c[0], 0, 0, 0, 0, 0, 0, c[7])
-
-
-def fcim(a) -> tuple:
-    c = fvec(a)
-    return (0, c[1], c[2], c[3], c[4], c[5], c[6], 0)
 
 
 class FracFunctionals(NamedTuple):
@@ -585,11 +567,6 @@ def poly_mul(p: Sequence, q: Sequence) -> list:
             for j, y in enumerate(q):
                 out[i + j] += x * y
     return out
-
-
-def poly_derivative(p: Sequence) -> list:
-    n = len(p) - 1
-    return [_exact(c) * (n - i) for i, c in enumerate(p[:-1])]
 
 
 def poly_eval(p: Sequence, x):

@@ -390,8 +390,8 @@ def test_verify_json(capsys):
     payload = _strict_json(out)
     assert code == 0 and payload["ok"] is True
     assert [(s["name"], s["passed"], s["failed"]) for s in payload["suites"]] == [
-        ("multivector", 3201, 0),
-        ("matrix-rep", 3400, 0),
+        ("multivector", 2406, 0),
+        ("matrix-rep", 1200, 0),
         ("inverse", 1705, 0),
         ("solver", 1300, 0),
         ("similarity", 1600, 0),

@@ -71,8 +71,9 @@ def test_entries_are_never_negative_zero():
 
 @given(multivectors)
 def test_faithfulness(a):
-    # the verify suite draws distinct pairs and checks L(a - b) != 0; this
-    # is the other side, equal operands with a zero difference
+    # L(a) = 0 only for a = 0, as column 0 of L(a) is a's coefficient
+    # vector (e_i e0 = e_i in the blade table verify checks); this is the
+    # other side, equal operands with a zero difference
     assert left_matrix(a - a) == ((0.0,) * 8,) * 8
 
 

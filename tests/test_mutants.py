@@ -2,10 +2,12 @@
 
 The full kill matrix takes about 35 s and runs in CI as its own step;
 these checks are cheap: every entry still applies, every test it names is
-collected, and the runner tells a caught mutant from an equivalent one.
+collected, every CHANGES.md label it cites names a row of a mutation table
+there, and the runner tells a caught mutant from an equivalent one.
 """
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +31,13 @@ def test_pytest_collects_every_named_test():
     collected = proc.stdout.splitlines()
     for test in named:
         assert any(line == test or line.startswith(test + "[") for line in collected), test
+
+
+def test_every_cited_changes_label_is_a_row_of_changes():
+    changes = (ROOT / "CHANGES.md").read_text()
+    cited = {label for m in run.MUTANTS for label in re.findall(r"CHANGES\.md (M\d\d)\b", m.origin)}
+    assert cited
+    assert sorted(label for label in cited if f"| {label} " not in changes) == []
 
 
 def test_runner_catches_a_mutant_and_not_an_equivalent_one():

@@ -17,7 +17,7 @@ def test_exact_pinv_identity_and_zero():
 
 def test_exact_pinv_worked_example():
     got = oracle.exact_pinv(oracle.fleft_matrix(e1 + e2))
-    want = oracle.fleft_matrix(oracle.fscale(Fraction(1, 4), oracle.fsub(e1, e2)))
+    want = oracle.fleft_matrix((0, Fraction(1, 4), Fraction(-1, 4), 0, 0, 0, 0, 0))  # (e1 - e2) / 4
     assert got == want
 
 
