@@ -468,7 +468,7 @@ def format_multivector(a: Multivector) -> str:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
+    return " ".join(parts)
 
 
 #: The eight basis blades, index t <-> blade e_t.

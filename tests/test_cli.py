@@ -392,10 +392,10 @@ def test_verify_json(capsys):
     assert [(s["name"], s["passed"], s["failed"]) for s in payload["suites"]] == [
         ("multivector", 2406, 0),
         ("matrix-rep", 1200, 0),
-        ("inverse", 1705, 0),
-        ("solver", 1300, 0),
-        ("similarity", 1600, 0),
-        ("oracle", 1901, 0),
+        ("inverse", 1105, 0),
+        ("solver", 1049, 0),
+        ("similarity", 1200, 0),
+        ("oracle", 1701, 0),
     ]
 
 

@@ -19,6 +19,12 @@ def test_exact_pinv_worked_example():
     got = oracle.exact_pinv(oracle.fleft_matrix(e1 + e2))
     want = oracle.fleft_matrix((0, Fraction(1, 4), Fraction(-1, 4), 0, 0, 0, 0, 0))  # (e1 - e2) / 4
     assert got == want
+    # the paper's statement, literally: L(pinv a) = pinv(L(a)) and R(pinv a) = pinv(R(a));
+    # verify proves it for every draw from the Penrose rows and the table facts
+    for a in (e1 + e2, e0 + e2 + e6, Multivector.zero()):
+        x = oracle.fmp_inverse(a)
+        for rep in (oracle.fleft_matrix, oracle.fright_matrix):
+            assert rep(x) == oracle.exact_pinv(rep(a))
 
 
 def test_exact_pinv_is_an_involution():
