@@ -59,12 +59,15 @@ def _invert(c: tuple[float, ...], n: float, t: float, p: float) -> Multivector:
 
 
 def inverse(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
-    """Two-sided inverse of ``a``; raises SingularElement when P <= tol * s^2."""
+    """Two-sided inverse of ``a``, the :func:`mp_inverse` of an invertible
+    ``a``; raises SingularElement when P <= tol * s^2.  The kind is decided
+    on the reduced element, so a tiny singular ``a`` raises SingularElement
+    rather than the overflow of its generalized inverse."""
     r, e, s = _reduced(a)
-    n, t, p = _ntp(r.coeffs)
-    if _within(p, tol, s * s):
+    mp = _mp_inverse_reduced(r, 0, s, tol)
+    if mp.kind is not MPKind.INVERTIBLE:
         raise SingularElement(f"P(a) <= tol * s^2 with tol = {tol:g}: a is singular")
-    return _scaled(_invert(r.coeffs, n, t, p), -e)
+    return _scaled(mp.pinv, -e)
 
 
 def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:

@@ -4,10 +4,10 @@ Everything here runs over exact numbers (Python ints and
 :class:`fractions.Fraction`), so results on integer or dyadic inputs are
 exact.  Two independent layers:
 
-* generic linear algebra on small rational matrices: reduced row echelon
-  form, rank, fraction-free determinant, pseudoinverse via full-rank
-  factorization, linear solve with nullspace basis, and the
-  characteristic polynomial by Berkowitz's division-free recurrence;
+* generic linear algebra on small rational matrices: rank,
+  fraction-free determinant, pseudoinverse via full-rank factorization,
+  linear solve with nullspace basis, and the characteristic polynomial
+  by Berkowitz's division-free recurrence;
 
 * a mirror of the multivector closed forms (product, involutions, scalar
   forms, inverses, representation matrices) built on a blade table that is
@@ -18,7 +18,7 @@ exact.  Two independent layers:
   that table at import.
 
 Matrices are plain lists of lists; vectors are lists.  The matrix kernels
-(``matmul``, ``mat_vec``, ``rref``, ``rank``, ``exact_det``,
+(``matmul``, ``mat_vec``, ``rank``, ``exact_det``,
 ``scaled_pinv``, ``exact_pinv``, ``exact_solve``, ``char_poly``) and
 ``fmul`` run on Python ints, and every operand enters them one way: an
 operand of ints alone is recognised by type and used as it is; any other
@@ -44,7 +44,9 @@ exact values are numerators / den, which is all ``exact_pinv`` and
 multiply it through by den and compare integers.  A square matrix of
 full rank takes one fraction-free pass over [A | I], the full-rank
 factorization's own degenerate case F = A, G = I.
-Nothing here checks its own results; :mod:`cl12.verify` does.  Intended
+Nothing here checks its own results: :mod:`cl12.verify` checks the
+mirror, ``exact_solve`` and ``rank``, and the tier-1 tests check every
+kernel against a Fraction reference.  Intended
 for desk-scale verification, not bulk numerics.  Besides ``verify``, one
 CLI command uses it at run time: ``det`` takes ``exact_det`` of
 ``fleft_matrix``.
@@ -81,7 +83,6 @@ __all__ = [
     "transpose",
     "matmul",
     "mat_vec",
-    "rref",
     "rank",
     "exact_det",
     "scaled_pinv",
@@ -89,7 +90,6 @@ __all__ = [
     "exact_solve",
     "char_poly",
     "poly_mul",
-    "poly_eval",
     "poly_eval_gaussian",
 ]
 
@@ -350,12 +350,14 @@ def _rref_ints(a: list[list[int]], limit: int, *,
                echelon: bool = False) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
-    Takes the pivots as :func:`rref` does and returns ``(F, pivots, d,
-    sign)`` with ``F = d * R``: R is the matrix the rational elimination
-    reaches (rows below the rank included) and d the last pivot of F (1
-    without pivots), the determinant of the pivot block of the row-swapped
-    input; ``sign`` is the parity of the row swaps, so for a square input
-    of full rank ``sign * d`` is its determinant.  Each update
+    Pivot columns are chosen left to right among the first ``limit``
+    columns, each from the first row with a nonzero entry, so the result is
+    deterministic.  Returns ``(F, pivots, d, sign)`` with ``F = d * R``: R
+    is the matrix the rational elimination reaches (rows below the rank
+    included) and d the last pivot of F (1 without pivots), the
+    determinant of the pivot block of the row-swapped input; ``sign`` is
+    the parity of the row swaps, so for a square input of full rank
+    ``sign * d`` is its determinant.  Each update
     ``(p*x - f*y) // prev`` is exact by Sylvester's identity (Bareiss
     1968), so every entry stays an int.  Rows are replaced, never written
     to, so only the outer list is copied and ``a`` is left as it was.
@@ -392,27 +394,6 @@ def _rref_ints(a: list[list[int]], limit: int, *,
     return a, pivots, prev, sign
 
 
-def rref(m, pivot_limit: int | None = None) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form and pivot columns.
-
-    Pivot columns are chosen left to right, taking the first row with a
-    nonzero entry, so the result is deterministic.  ``pivot_limit``
-    restricts pivoting to the first columns (used for augmented systems)
-    and must lie in 0..ncols, else ValueError.  Rows below the rank hold
-    what the elimination left there.
-    """
-    den, a = _integral(m)
-    ncols = len(a[0]) if a else 0
-    limit = ncols if pivot_limit is None else pivot_limit
-    if not 0 <= limit <= ncols:
-        raise ValueError(f"pivot_limit must be in 0..{ncols}, got {pivot_limit}")
-    red, pivots, d, _ = _rref_ints(a, limit)
-    r = len(pivots)
-    # Normalising a pivot row cancels the factor den; the rows below the
-    # rank stay linear in den*m and keep it.
-    return [[_ratio(x, d if i < r else d * den) for x in row] for i, row in enumerate(red)], pivots
-
-
 def rank(m) -> int:
     a = _integral(m)[1]
     return len(_rref_ints(a, len(a[0]) if a else 0, echelon=True)[1])
@@ -441,8 +422,8 @@ def scaled_pinv(m) -> tuple[int, list[list[int]]]:
     multiple (row scaling of G cancels), and A+ = G.T @ inv(F.T @ A @
     G.T) @ F.T.  One pass over [mid | I] gives d * inv(mid), so the
     products run on plain ints and d is the denominator.  The result is
-    not re-checked here: the ``oracle`` suite of :mod:`cl12.verify` counts
-    the four Penrose equations on it.
+    not re-checked here; the tier-1 tests compare it with a Fraction
+    reference and check the four Penrose equations on it.
     """
     scale, ai = _integral(m)
     nrows = len(ai)
@@ -567,14 +548,6 @@ def poly_mul(p: Sequence, q: Sequence) -> list:
             for j, y in enumerate(q):
                 out[i + j] += x * y
     return out
-
-
-def poly_eval(p: Sequence, x):
-    acc = 0
-    x = _exact(x)
-    for c in p:
-        acc = acc * x + _exact(c)
-    return acc
 
 
 def poly_eval_gaussian(p: Sequence, re, im) -> tuple:

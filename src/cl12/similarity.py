@@ -32,10 +32,19 @@ it takes no product.
   which share an image or a kernel: the eigenvector matrices would be
   singular.
 
+In floats the invariants agree only to ``tol``, so u^2 - v^2 need not
+vanish, and candidate t leaves the residual q*a - b*q = (cre(a) -
+cre(b))*q + (u^2 - v^2)*e_t.  A candidate that cancels to noise is then
+invertible and still no witness.  So the witness is the first candidate
+that is not ``is_singular`` and whose residual is at most 8*tol*|q|*scale,
+bounded without a product: u^2 = -(N(u) + 2T(u) e7), so the residual is
+at most hypot(dN, 2dT) + (|dc0| + |dc7|)*|q|, with dN = N(u) - N(v),
+dT = T(u) - T(v) and dc0, dc7 the differences of a's and b's
+coefficients 0 and 7.
 In floats every comparison is relative to the pair's scale, so verdicts
 do not change when both elements are scaled by a power of two.
-``is_similar`` raises ``SingularElement`` when ``is_singular`` rejects all
-four candidates.  That is forced when the norms of L(a) and L(b) differ
+``is_similar`` raises ``SingularElement`` when no candidate passes both
+tests.  That is forced when the norms of L(a) and L(b) differ
 by a factor above 2 / sqrt(tol): b = q a q^-1 makes cond2(L(q)) at least
 that factor for every witness q, and P / s^2 <= 4 / cond2^2 <= tol.  An
 example is e1 + e2 and 1e-5 * (e1 + e2), two similar nilpotents.
@@ -44,6 +53,7 @@ example is e1 + e2 and 1e-5 * (e1 + e2), two similar nilpotents.
 from __future__ import annotations
 
 import enum
+import math
 from operator import sub
 from typing import NamedTuple
 
@@ -155,8 +165,9 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
     Comparisons are relative to the larger norm ``scale``, to the degree
     of each invariant: ``scale`` for the central part, ``scale^2`` for N
     and T.  The witness is e0 when the imaginary parts agree, else the
-    first of :func:`witness_candidates` that is not ``is_singular(tol)``;
-    raises SingularElement when there is none.
+    first of :func:`witness_candidates` that is not ``is_singular(tol)``
+    and satisfies |q*a - b*q| <= 8*tol*|q|*scale; raises SingularElement
+    when there is none.
     """
     # decided on the reduced pair; the witness is scaled back
     a, b, e, a_norm, b_norm = _reduced_pair(a, b)
@@ -189,7 +200,15 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
     cb = b.cim()
     if agree(ca.coeffs, cb.coeffs):
         return SimilarityResult(True, e0, SimilarityReason.INVARIANTS_MATCH)
+    # the residual bound of the module docstring
+    nca, tca, _ = _ntp(ca.coeffs)
+    ncb, tcb, _ = _ntp(cb.coeffs)
+    square_gap = math.hypot(nca - ncb, 2.0 * (tca - tcb))
+    cre_gap = abs(a.coeffs[0] - b.coeffs[0]) + abs(a.coeffs[7] - b.coeffs[7])
     for witness in _candidates(ca, cb):
-        if not witness.is_singular(tol):
+        q_norm = witness.norm()
+        if (_within(square_gap + cre_gap * q_norm, tol, 8.0 * q_norm * scale)
+                and not witness.is_singular(tol)):
             return SimilarityResult(True, _scaled(witness, e), SimilarityReason.INVARIANTS_MATCH)
-    raise SingularElement(f"no witness candidate is invertible within tol = {tol:g}")
+    raise SingularElement(f"no witness candidate is invertible within tol = {tol:g}"
+                          " and meets |qa - bq| <= 8 tol |q| scale")

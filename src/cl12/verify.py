@@ -26,9 +26,9 @@ order-reversing, and that prime maps to transposition under both.  So
 L(a) L(x) L(a) = L(a x a) = L(a), (L(a) L(x))^T = L((a x)') = L(a x),
 and likewise for the other two equations and for R.  The Moore-Penrose
 inverse is unique (Penrose 1955), so L(x) = pinv(L a) and R(x) = pinv(R a).
-The oracle suite checks the same four equations on ``scaled_pinv`` of
-L(a); for the transpose nothing more is needed, as X^T satisfies them
-for A^T = L(a').
+No suite computes the generic pseudo-inverse ``oracle.scaled_pinv``: the
+tier-1 tests check it against a Fraction reference and on Penrose's
+equations.  The oracle suite checks ``exact_solve`` and ``rank`` on L(a).
 """
 
 from __future__ import annotations
@@ -123,9 +123,7 @@ def _feq(a: Multivector, b) -> bool:
 
 
 def _times(k: int, x):
-    """k * x for an exact vector or matrix, as the same kind of list or tuple."""
-    if isinstance(x[0], (list, tuple)):
-        return [[k * v for v in row] for row in x]
+    """k * x for an exact vector, as the same kind of list or tuple."""
     return type(x)(k * v for v in x)
 
 
@@ -193,7 +191,8 @@ def _table_facts(res: SuiteResult) -> None:
     res.check(
         m2[0] == ((1, 0), (0, 1))
         and [_m2_mul(g, g) for g in gens] == [((q, 0), (0, q)) for q in oracle._GENERATOR_SQUARES]
-        and all(_m2_mul(x, y) == _m2_mul(_times(-1, y), x) for x, y in combinations(gens, 2))
+        and all(_m2_mul(x, y) == _m2_mul(((-1, 0), (0, -1)), _m2_mul(y, x))
+                for x, y in combinations(gens, 2))
         and all(reduce(_m2_mul, [gens[g] for g in range(3) if t >> g & 1], m2[0]) == m
                 for t, m in enumerate(m2))
         and all(tuple(tuple(v.conjugate() for v in col) for col in zip(*m))
@@ -309,8 +308,6 @@ def _suite_inverse(res: SuiteResult, trials: int, seed: int, tol: float) -> None
         res.check(mp.kind == kind and _within(gap, tol, math.hypot(*want)),
                   f"trial {n}: mp_inverse vs the exact inverse (kind {mp.kind.value}, "
                   f"exact {kind.value}, gap {gap:g})")
-        if not a.is_singular(tol):
-            res.check(mp.pinv == inverse(a, tol), f"trial {n}: pinv = inverse when P != 0")
         lam = rng.choice([2, 4, -2, 0.5, -0.5])
         scaled = mp_inverse(lam * a, tol).pinv
         res.check(scaled.isclose(mp.pinv / lam, tol), f"trial {n}: pinv scaling in 1/lambda")
@@ -407,28 +404,14 @@ def _suite_oracle(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
     rng = random.Random(seed)
     for n in range(trials):
         a = oracle.fleft_matrix(oracle.fvec(_mixed(rng)))
-        den, x = oracle.scaled_pinv(a)  # pinv(A) = X / den
-        ax, xa = oracle.matmul(a, x), oracle.matmul(x, a)
-        res.check(oracle.matmul(ax, a) == _times(den, a), f"trial {n}: A X A = A")
-        res.check(oracle.matmul(xa, x) == _times(den, x), f"trial {n}: X A X = X")
-        res.check(ax == oracle.transpose(ax) and xa == oracle.transpose(xa),
-                  f"trial {n}: A X and X A symmetric")
-
         bvec = [rng.randint(-5, 5) for _ in range(8)]
         sol = oracle.exact_solve(a, bvec)
-        res.check(sol.consistent == (oracle.mat_vec(ax, bvec) == _times(den, bvec)),
-                  f"trial {n}: consistency criterion A A+ b = b")
         if sol.consistent:
             res.check(oracle.mat_vec(a, sol.particular) == bvec,
                       f"trial {n}: particular solution solves the system")
         res.check(all(oracle.mat_vec(a, v) == [0] * 8 for v in sol.nullspace),
                   f"trial {n}: nullspace vectors annihilate")
         res.check(len(sol.nullspace) == 8 - oracle.rank(a), f"trial {n}: nullity vs rank")
-
-        pol = oracle.char_poly(a)
-        trace = sum(a[i][i] for i in range(8))
-        res.check(pol[0] == 1 and pol[1] == -trace, f"trial {n}: leading and trace coefficients")
-        res.check(pol[-1] == oracle.exact_det(a), f"trial {n}: constant coefficient vs Bareiss det")
 
 
 _SUITES = (

@@ -1,6 +1,6 @@
 """The mutant catalogue (``mutants/``) cannot drift from the code it mutates.
 
-The full kill matrix takes about 60 s and runs in CI as its own step;
+The full kill matrix takes about 35 s and runs in CI as its own step;
 these checks are cheap: every entry still applies, every test it names is
 collected, every CHANGES.md label it cites names a row of a mutation table
 there, and the runner tells a caught mutant from an equivalent one.

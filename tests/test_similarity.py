@@ -139,6 +139,20 @@ def test_nilpotent_pair_of_unequal_norms_raises_singular_element():
     assert is_similar(u, 1e-6 * u, tol=1e-13).similar
 
 
+def test_witness_meets_its_equation_when_a_candidate_cancels():
+    # the invariants agree to tol, and candidate 0, cim(b) + cim(a), cancels
+    # to 1e-10 e1 + 2e-10 e2: invertible, yet |qa - bq| = 0.4 |q| scale
+    a, b = 2 * e0 + e1, 2 * e0 - 0.9999999999 * e1 + 2e-10 * e2
+    q0 = witness_candidates(a, b)[0]
+    assert not q0.is_singular()
+    assert (q0 * a - b * q0).norm() > 0.1 * q0.norm() * a.norm()
+    r = is_similar(a, b)
+    assert r.similar and r.reason is SimilarityReason.INVARIANTS_MATCH
+    q = r.witness
+    assert not q.is_singular()
+    assert (q * a - b * q).norm() <= 8 * 1e-9 * q.norm() * max(a.norm(), b.norm())
+
+
 def _singular_imaginary(rng):
     # pure e1..e6 parts with N = T = 0, found by rejection
     while True:
@@ -210,7 +224,8 @@ def test_four_candidates_complete_exactly():
     # The module's proof, checked in exact arithmetic over exactly
     # conjugated non-central pairs (a, q a q^-1): one of the candidates for
     # e0..e3 has P != 0, candidate t^7 has the same P as candidate t, and
-    # the float scan returns the first candidate is_singular passes.
+    # the float scan returns the first candidate is_singular passes (on
+    # these pairs it also meets the residual bound).
     rng = random.Random(73)
     nilpotents = _nilpotent_imaginary_parts(2)
     unipotents = _nilpotent_imaginary_parts(1)
