@@ -39,7 +39,6 @@ from .multivector import (
     _DIGITS,
     _check_tol,
     _ldexp,
-    _ntp,
     _reduced,
     eigenvalues,
     format_multivector,
@@ -244,17 +243,9 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(_finite(payload), allow_nan=False))
 
 
-def _forms(a: Multivector) -> tuple[float, float, float]:
-    """N, T and P of ``a``, taken on ``_reduced(a)`` and scaled back (N and T
-    have degree 2, P degree 4), so they overflow only past the double range."""
-    r, e, _ = _reduced(a)
-    n, t, p = _ntp(r.coeffs)
-    return _ldexp(n, 2 * e), _ldexp(t, 2 * e), _ldexp(p, 4 * e)
-
-
 def _mv_json(m: Multivector) -> dict:
-    n, t, p = _forms(m)
-    return {"coeffs": list(m.coeffs), "N": n, "T": t, "P": p}
+    f = m.functionals()
+    return {"coeffs": list(m.coeffs), "N": f.N, "T": f.T, "P": f.P}
 
 
 def _print_matrix(m) -> None:
@@ -274,9 +265,9 @@ def _cmd_eval(args) -> int:
     if args.json:
         _print_json(_mv_json(result))
         return 0
-    n, t, p = _forms(result)
+    f = result.functionals()
     print(format_multivector(result))
-    print(f"N = {_g(n)}  T = {_g(t)}  P = {_g(p)}")
+    print(f"N = {_g(f.N)}  T = {_g(f.T)}  P = {_g(f.P)}")
     return 0
 
 
@@ -368,7 +359,7 @@ def _cmd_det(args) -> int:
         det = float(exact_det(fleft_matrix(a)))
     except OverflowError:
         det = math.inf
-    p = _forms(a)[2]
+    p = a.functionals().P
     if args.json:
         _print_json({"det": det, "P": p, "P_squared": p * p})
     else:

@@ -64,10 +64,10 @@ def inverse(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     on the reduced element, so a tiny singular ``a`` raises SingularElement
     rather than the overflow of its generalized inverse."""
     r, e, s = _reduced(a)
-    mp = _mp_inverse_reduced(r, 0, s, tol)
-    if mp.kind is not MPKind.INVERTIBLE:
+    x, kind, _ = _mp_inverse_reduced(r, s, tol)
+    if kind is not MPKind.INVERTIBLE:
         raise SingularElement(f"P(a) <= tol * s^2 with tol = {tol:g}: a is singular")
-    return _scaled(mp.pinv, -e)
+    return _scaled(x, -e)
 
 
 def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
@@ -79,18 +79,21 @@ def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
     pinv(2^k a) is exactly pinv(a) / 2^k; a result that overflows raises
     ValueError.
     """
-    return _mp_inverse_reduced(*_reduced(a), tol)
+    r, e, s = _reduced(a)
+    x, kind, condition = _mp_inverse_reduced(r, s, tol)
+    return MPResult(_scaled(x, -e), kind, condition)
 
 
-def _mp_inverse_reduced(r: Multivector, e: int, s: float, tol: float) -> MPResult:
-    """:func:`mp_inverse` of ``r * 2^e`` from ``(r, e, s)`` as :func:`_reduced`
-    returns them; a caller that holds a reduced operand passes e = 0."""
+def _mp_inverse_reduced(r: Multivector, s: float, tol: float) -> tuple[Multivector, MPKind, float]:
+    """(pinv, kind, condition) of ``r`` with square sum ``s``, as
+    :func:`_reduced` returns them, before any scaling back; only
+    :func:`mp_inverse` wraps them in an :class:`MPResult`."""
     c0, c1, c2, c3, c4, c5, c6, c7 = c = r.coeffs
     n, t, p = _ntp(c)
     if not _within(p, tol, s * s):
-        return MPResult(_scaled(_invert(c, n, t, p), -e), MPKind.INVERTIBLE, p / (s * s))
+        return _invert(c, n, t, p), MPKind.INVERTIBLE, p / (s * s)
     if s == 0.0:  # only zero reduces to a zero square sum
-        return MPResult(Multivector.zero(), MPKind.ZERO, 0.0)
+        return Multivector.zero(), MPKind.ZERO, 0.0
     # K > 0 here.  Exactly: K = (s + N) / 2 and N^2 <= P <= tol * s^2 give
     # K >= s * (1 - sqrt(tol)) / 2 > 0, as tol < 1.  In floats: K == 0
     # zeroes every even-index square, so N sums the same squares in the
@@ -98,4 +101,4 @@ def _mp_inverse_reduced(r: Multivector, e: int, s: float, tol: float) -> MPResul
     # the invertible branch above.
     d = 4.0 * (c0 * c0 + c2 * c2 + c4 * c4 + c6 * c6)  # 4K; x = a.prime() / (4K)
     x = Multivector._from_floats(tuple([y / d + 0.0 for y in (c0, c1, -c2, c3, -c4, c5, -c6, -c7)]))
-    return MPResult(_scaled(x, -e), MPKind.SINGULAR_NONZERO, p / (s * s))
+    return x, MPKind.SINGULAR_NONZERO, p / (s * s)

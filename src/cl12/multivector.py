@@ -299,11 +299,23 @@ class Multivector:
     # -- scalar forms ----------------------------------------------------
 
     def functionals(self) -> Functionals:
+        """The seven forms.  Outside the window of ``_reduced`` they are
+        taken on the reduced element and scaled back, as ``eigenvalues``
+        does (P has degree 4, the others 2), so a form is infinite only
+        past the double range and never nan."""
         c0, c1, c2, c3, c4, c5, c6, c7 = c = self._c
-        return Functionals._make(_ntp(c) + (
-            c0 * c1 - c2 * c3 - c4 * c5 + c6 * c7, c0 * c3 + c1 * c2 + c4 * c7 + c5 * c6,
-            c0 * c5 + c1 * c4 - c2 * c7 - c3 * c6, c0 * c0 + c2 * c2 + c4 * c4 + c6 * c6,
-        ))
+        n, t, p = _ntp(c)
+        k = c0 * c0 + c2 * c2 + c4 * c4 + c6 * c6
+        f = Functionals._make((n, t, p, c0 * c1 - c2 * c3 - c4 * c5 + c6 * c7,
+                               c0 * c3 + c1 * c2 + c4 * c7 + c5 * c6,
+                               c0 * c5 + c1 * c4 - c2 * c7 - c3 * c6, k))
+        if _S_LOW <= 2.0 * k - n <= _S_HIGH:  # 2K - N is the square sum
+            return f
+        r, e, _ = _reduced(self)
+        if not e:  # zero, or a square sum at the window's edge
+            return f
+        return Functionals._make([_ldexp(x, 4 * e if i == 2 else 2 * e)
+                                  for i, x in enumerate(r.functionals())])
 
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector (``math.hypot``: no

@@ -171,9 +171,9 @@ def _integral(rows):
 # ---------------------------------------------------------------------------
 
 
-def fvec(a) -> tuple:
-    """Exact coefficient tuple from a Multivector or any 8-sequence."""
-    coeffs = getattr(a, "coeffs", a)
+def _whole(coeffs) -> tuple | None:
+    """``coeffs`` as ints when it is an 8-tuple of ints or of whole floats,
+    else None; one pass over the entries' types."""
     if type(coeffs) is tuple and len(coeffs) == 8:
         kinds = set(map(type, coeffs))
         # ints (what the mirror returns) are exact already, and whole floats
@@ -182,10 +182,29 @@ def fvec(a) -> tuple:
             return coeffs
         if kinds == {float} and all(map(float.is_integer, coeffs)):
             return tuple(map(int, coeffs))
+    return None
+
+
+def fvec(a) -> tuple:
+    """Exact coefficient tuple from a Multivector or any 8-sequence."""
+    coeffs = getattr(a, "coeffs", a)
+    whole = _whole(coeffs)
+    if whole is not None:
+        return whole
     out = tuple(_exact(x) for x in coeffs)
     if len(out) != 8:
         raise ValueError(f"expected 8 coefficients, got {len(out)}")
     return out
+
+
+def _numerators(a) -> tuple[int, tuple]:
+    """``(den, fvec(a) * den)``, the convention of ``_integral``; an operand
+    that ``_whole`` reads has its types read once, with den = 1."""
+    whole = _whole(getattr(a, "coeffs", a))
+    if whole is not None:
+        return 1, whole
+    den, (c,) = _integral((fvec(a),))
+    return den, c
 
 
 def fadd(a, b) -> tuple:
@@ -217,8 +236,8 @@ _fmul_ints = _generate_fmul_ints()
 
 def fmul(a, b) -> tuple:
     """Exact algebra product over the generator-derived table."""
-    da, (a,) = _integral((fvec(a),))
-    db, (b,) = _integral((fvec(b),))
+    da, a = _numerators(a)
+    db, b = _numerators(b)
     out = _fmul_ints(a, b)
     den = da * db
     return out if den == 1 else tuple(_ratio(x, den) for x in out)
@@ -269,7 +288,7 @@ def scaled_mp_inverse(a) -> tuple[int, tuple]:
     conj(A))`` when P != 0, ``(4K, prime(A))`` when P = 0 and A != 0, and
     ``(1, zeros)`` for zero; num then carries the factor s back.
     """
-    scale, (c,) = _integral((fvec(a),))
+    scale, c = _numerators(a)
     if not any(c):
         return 1, (0,) * 8
     f = ffunctionals(c)

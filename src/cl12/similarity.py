@@ -109,8 +109,12 @@ class ConjugationMatrix(NamedTuple):
 
 
 def conjugate_by(q: Multivector, x: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
-    """q * x * q^{-1}; raises SingularElement for non-invertible q."""
-    return q * x * inverse(q, tol)
+    """q * x * q^{-1}; raises SingularElement for non-invertible q.  Taken on
+    q and x reduced by powers of two (it does not change when q is scaled)
+    and scaled back by x's, so neither scale alone overflows a product."""
+    x, e, _ = _reduced(x)
+    q = _reduced(q)[0]
+    return _scaled(q * x * inverse(q, tol), e)
 
 
 def conjugation_matrix(q: Multivector, tol: float = DEFAULT_TOL) -> ConjugationMatrix:

@@ -101,14 +101,14 @@ def solve_axb(a: Multivector, b: Multivector, d: Multivector,
     # no product below leaves the normal range and the verdict does not
     # depend on their scales; x scales back by 2^(ed - ea - eb).
     (a, ea, sa), (b, eb, sb), (d, ed, _) = _reduced(a), _reduced(b), _reduced(d)
-    ma, mb = _mp_inverse_reduced(a, 0, sa, tol), _mp_inverse_reduced(b, 0, sb, tol)
-    p, q = ma.pinv, mb.pinv
+    p, kind_a, _ = _mp_inverse_reduced(a, sa, tol)
+    q, kind_b, _ = _mp_inverse_reduced(b, sb, tol)
     x0 = p * d * q
     residual = (a * x0 * b - d).norm()
     solvable = _within(residual, tol, a.norm() * x0.norm() * b.norm() + d.norm())
     hom = []
-    right = _eigenbasis(mb.kind, b, q)
-    for lam, (v0, v1) in _eigenbasis(ma.kind, p, a):
+    right = _eigenbasis(kind_b, b, q)
+    for lam, (v0, v1) in _eigenbasis(kind_a, p, a):
         for mu, (u0, u1) in right:
             if lam and mu:
                 continue

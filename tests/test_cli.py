@@ -398,11 +398,11 @@ def test_verify_json(capsys):
     payload = _strict_json(out)
     assert code == 0 and payload["ok"] is True
     assert [(s["name"], s["passed"], s["failed"]) for s in payload["suites"]] == [
-        ("multivector", 2406, 0),
+        ("multivector", 1806, 0),
         ("matrix-rep", 1200, 0),
         ("inverse", 1000, 0),
-        ("solver", 1049, 0),
-        ("similarity", 1200, 0),
+        ("solver", 640, 0),
+        ("similarity", 800, 0),
         ("oracle", 501, 0),
     ]
 

@@ -70,8 +70,10 @@ def test_mp_inverse_cases():
 
 def _functionals_reference(a):
     # N, T, P, T1, T3, T5, K written out on indexed coefficients: the
-    # operations, in their order, that the tuple kernels must round like
-    c = a.coeffs
+    # operations, in their order, that the tuple kernels must round like,
+    # on the reduced element and scaled back (P has degree 4, the rest 2)
+    r, e, _ = _reduced(a)
+    c = r.coeffs
     n = (
         c[0] * c[0] - c[1] * c[1] + c[2] * c[2] - c[3] * c[3]
         + c[4] * c[4] - c[5] * c[5] + c[6] * c[6] - c[7] * c[7]
@@ -82,7 +84,7 @@ def _functionals_reference(a):
     t3 = c[0] * c[3] + c[1] * c[2] + c[4] * c[7] + c[5] * c[6]
     t5 = c[0] * c[5] + c[1] * c[4] - c[2] * c[7] - c[3] * c[6]
     k = c[0] * c[0] + c[2] * c[2] + c[4] * c[4] + c[6] * c[6]
-    return n, t, p, t1, t3, t5, k
+    return tuple(_ldexp(x, 4 * e if i == 2 else 2 * e) for i, x in enumerate((n, t, p, t1, t3, t5, k)))
 
 
 def _central_inverse(a, n, t, p):

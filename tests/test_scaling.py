@@ -20,6 +20,7 @@ from cl12 import (
     e0,
     e1,
     e2,
+    e3,
     e4,
     e6,
     eigenvalues,
@@ -62,6 +63,12 @@ def test_scale_repros():
     assert r.similar and r.witness == 1e-6 * (e2 + e6)
     assert eigenvalues(1e300 * e1).values == (-1e300, -1e300, 1e300, 1e300)
     assert eigenvalues(1e300 * (e1 + e2)).values == (0, 0, 0, 0)  # nilpotent
+    # q * x overflows, but q x q^-1 does not change when q is scaled
+    q, x = e0 + e2 + e4, e1 + 2 * e3 - e6
+    assert conjugate_by(2.0 ** 900 * q, 2.0 ** 300 * x) == 2.0 ** 300 * conjugate_by(q, x)
+    # c0^2 - c1^2 is inf - inf in floats; the true N and P are 0
+    f = (2.0 ** 530 * (e0 + e1)).functionals()
+    assert (f.N, f.T, f.P) == (0.0, 0.0, 0.0) and f.K == f.T1 == math.inf
     # isclose is relative to the larger norm, with no absolute floor
     assert not (2.0 ** -600 * e1).isclose(2.0 ** -600 * e2)
     rng = random.Random(1)

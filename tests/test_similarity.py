@@ -42,7 +42,8 @@ def test_conjugate_by_rejects_singular():
 
 
 def test_conjugation_fixes_central_and_quadratic_forms():
-    # the verify suite checks cre, N and T; conjugation also maps cim to cim
+    # cre, N and T are fixed exactly (the proof is in cl12.verify's
+    # docstring); conjugation also maps cim to cim
     rng = random.Random(41)
     for _ in range(100):
         q = random_invertible(rng)
@@ -51,7 +52,7 @@ def test_conjugation_fixes_central_and_quadratic_forms():
 
 
 def test_conjugation_ignores_scaling():
-    # the verify suite checks q against 2q; a negative factor as well
+    # q x q^-1 does not change when q is scaled, by a negative factor too
     rng = random.Random(43)
     for _ in range(50):
         q = random_invertible(rng)
