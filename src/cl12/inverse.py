@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .multivector import DEFAULT_TOL, Multivector, _ntp, _reduced, _scaled, _within
+from .multivector import DEFAULT_TOL, Multivector, _check_tol, _ntp, _reduced, _scaled, _within
 
 __all__ = ["SingularElement", "MPKind", "MPResult", "inverse", "mp_inverse"]
 
@@ -28,6 +28,10 @@ class MPKind(enum.Enum):
     ZERO = "Zero"
     INVERTIBLE = "Invertible"
     SINGULAR_NONZERO = "SingularNonzero"
+
+
+# plain globals, as reading a member off the enum class is slow
+_INVERTIBLE, _SINGULAR, _ZERO = MPKind.INVERTIBLE, MPKind.SINGULAR_NONZERO, MPKind.ZERO
 
 
 class MPResult(NamedTuple):
@@ -64,10 +68,10 @@ def inverse(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     on the reduced element, so a tiny singular ``a`` raises SingularElement
     rather than the overflow of its generalized inverse."""
     r, e, s = _reduced(a)
-    x, kind, _ = _mp_inverse_reduced(r, s, tol)
-    if kind is not MPKind.INVERTIBLE:
+    kind, n, t, p = _kind(r.coeffs, s, _check_tol(tol))
+    if kind is not _INVERTIBLE:
         raise SingularElement(f"P(a) <= tol * s^2 with tol = {tol:g}: a is singular")
-    return _scaled(x, -e)
+    return _scaled(_invert(r.coeffs, n, t, p), -e)
 
 
 def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
@@ -80,25 +84,30 @@ def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
     ValueError.
     """
     r, e, s = _reduced(a)
-    x, kind, condition = _mp_inverse_reduced(r, s, tol)
-    return MPResult(_scaled(x, -e), kind, condition)
-
-
-def _mp_inverse_reduced(r: Multivector, s: float, tol: float) -> tuple[Multivector, MPKind, float]:
-    """(pinv, kind, condition) of ``r`` with square sum ``s``, as
-    :func:`_reduced` returns them, before any scaling back; only
-    :func:`mp_inverse` wraps them in an :class:`MPResult`."""
     c0, c1, c2, c3, c4, c5, c6, c7 = c = r.coeffs
+    kind, n, t, p = _kind(c, s, _check_tol(tol))
+    if kind is _INVERTIBLE:
+        return MPResult(_scaled(_invert(c, n, t, p), -e), kind, p / (s * s))
+    if kind is _ZERO:
+        return MPResult(Multivector.zero(), kind, 0.0)
+    d = _four_k(c)  # x = a.prime() / (4K)
+    x = Multivector._from_floats(tuple([y / d + 0.0 for y in (c0, c1, -c2, c3, -c4, c5, -c6, -c7)]))
+    return MPResult(_scaled(x, -e), kind, p / (s * s))
+
+
+def _kind(c: tuple[float, ...], s: float, tol: float) -> tuple[MPKind, float, float, float]:
+    """(kind, N, T, P) of the coefficients ``c`` and square sum ``s`` of a
+    reduced element (see :func:`_reduced`): the one place where the rule
+    P <= tol * s^2 picks a branch, for inverse, mp_inverse and solve_axb."""
     n, t, p = _ntp(c)
     if not _within(p, tol, s * s):
-        return _invert(c, n, t, p), MPKind.INVERTIBLE, p / (s * s)
-    if s == 0.0:  # only zero reduces to a zero square sum
-        return Multivector.zero(), MPKind.ZERO, 0.0
-    # K > 0 here.  Exactly: K = (s + N) / 2 and N^2 <= P <= tol * s^2 give
-    # K >= s * (1 - sqrt(tol)) / 2 > 0, as tol < 1.  In floats: K == 0
-    # zeroes every even-index square, so N sums the same squares in the
-    # same order as s and equals -s; then P >= s*s > tol*s*s, and a took
-    # the invertible branch above.
-    d = 4.0 * (c0 * c0 + c2 * c2 + c4 * c4 + c6 * c6)  # 4K; x = a.prime() / (4K)
-    x = Multivector._from_floats(tuple([y / d + 0.0 for y in (c0, c1, -c2, c3, -c4, c5, -c6, -c7)]))
-    return x, MPKind.SINGULAR_NONZERO, p / (s * s)
+        return _INVERTIBLE, n, t, p
+    return (_SINGULAR if s else _ZERO), n, t, p  # only zero reduces to s == 0
+
+
+def _four_k(c: tuple[float, ...]) -> float:
+    """4K of pinv(a) = a.prime() / (4K), > 0 on the singular branch.  Exactly:
+    K = (s + N) / 2 and N^2 <= P <= tol * s^2 give K >= s (1 - sqrt(tol)) / 2
+    > 0.  In floats: K == 0 zeroes every even-index square, so N sums the
+    same squares as s in the same order, N = -s and P >= s*s > tol*s*s."""
+    return 4.0 * (c[0] * c[0] + c[2] * c[2] + c[4] * c[4] + c[6] * c[6])  # 4K

@@ -329,7 +329,7 @@ class Multivector:
 
     def is_central(self, tol: float = 0.0) -> bool:
         """True when every e1..e6 component is at most ``tol`` times the norm."""
-        return _within(max(map(abs, self._c[1:7])), tol, self.norm())
+        return _within(max(map(abs, self._c[1:7])), _check_tol(tol), self.norm())
 
     def is_singular(self, tol: float = DEFAULT_TOL) -> bool:
         """True when P <= tol * s^2, s the coefficient square sum.
@@ -339,14 +339,13 @@ class Multivector:
         depend on the scale of ``a``.  It lies in [0, 1], so ``tol`` must
         be in [0, 1).
         """
-        r, _, s = _reduced(self)
-        return _within(_ntp(r._c)[2], tol, s * s)
+        return _is_singular(self, _check_tol(tol))
 
     def isclose(self, other: "Multivector", tol: float = DEFAULT_TOL) -> bool:
         """Componentwise comparison: every |x - y| <= tol * the larger norm
         (``_within`` at degree 1, so scaling both changes no verdict)."""
         gap = max(map(abs, map(sub, self._c, other._c)))
-        return _within(gap, tol, max(self.norm(), other.norm()))
+        return _within(gap, _check_tol(tol), max(self.norm(), other.norm()))
 
 
 def _check_tol(tol: float) -> float:
@@ -360,9 +359,14 @@ def _within(x: float, tol: float, scale: float) -> bool:
     """The package's one tolerance rule: |x| <= tol * scale.
 
     Callers pass a ``scale`` of the same degree as ``x`` in the inputs, so
-    verdicts do not change when the inputs are scaled.
-    """
-    return abs(x) <= _check_tol(tol) * scale
+    verdicts do not change when the inputs are scaled.  Each public function
+    that takes a ``tol`` checks it once, with ``_check_tol``."""
+    return abs(x) <= tol * scale
+
+
+def _is_singular(a: "Multivector", tol: float) -> bool:  # a.is_singular(tol), tol checked
+    r, _, s = _reduced(a)
+    return _within(_ntp(r._c)[2], tol, s * s)
 
 
 # Coefficient square sums inside this window keep P, s^2 and every product
@@ -415,12 +419,12 @@ def _to_m2(a: Multivector) -> tuple[tuple[complex, complex], tuple[complex, comp
 def _from_m2(m) -> Multivector:
     """The element whose 2x2 image is ``m`` (rows of complex numbers)."""
     (m00, m01), (m10, m11) = m
-    return Multivector._from_floats((
-        (m00.real + m11.real) / 2 + 0.0, (m00.real - m11.real) / 2 + 0.0,
-        (m01.imag + m10.imag) / 2 + 0.0, (m01.imag - m10.imag) / 2 + 0.0,
-        (m01.real - m10.real) / 2 + 0.0, (m01.real + m10.real) / 2 + 0.0,
-        (m11.imag - m00.imag) / 2 + 0.0, -(m00.imag + m11.imag) / 2 + 0.0,
-    ))
+    r00, i00, r01, i01 = m00.real, m00.imag, m01.real, m01.imag
+    r10, i10, r11, i11 = m10.real, m10.imag, m11.real, m11.imag
+    return Multivector._from_floats((  # x * 0.5 rounds as x / 2 does, and is faster
+        (r00 + r11) * 0.5 + 0.0, (r00 - r11) * 0.5 + 0.0, (i01 + i10) * 0.5 + 0.0,
+        (i01 - i10) * 0.5 + 0.0, (r01 - r10) * 0.5 + 0.0, (r01 + r10) * 0.5 + 0.0,
+        (i11 - i00) * 0.5 + 0.0, -(i00 + i11) * 0.5 + 0.0))
 
 
 class EigenSpectrum(NamedTuple):

@@ -58,27 +58,12 @@ from operator import sub
 from typing import NamedTuple
 
 from .inverse import SingularElement, inverse
-from .multivector import (
-    BASIS,
-    DEFAULT_TOL,
-    MUL_SIGN,
-    Multivector,
-    _ntp,
-    _reduced,
-    _scaled,
-    _within,
-    e0,
-)
+from .multivector import (BASIS, DEFAULT_TOL, MUL_SIGN, Multivector, _check_tol, _is_singular,
+                          _ntp, _reduced, _scaled, _within, e0)
 
-__all__ = [
-    "SimilarityReason",
-    "SimilarityResult",
-    "ConjugationMatrix",
-    "conjugate_by",
-    "conjugation_matrix",
-    "is_similar",
-    "witness_candidates",
-]
+__all__ = ["SimilarityReason", "SimilarityResult", "ConjugationMatrix", "conjugate_by",
+           "conjugation_matrix", "is_similar", "witness_candidates"]
+
 
 class SimilarityReason(enum.Enum):
     CENTRAL_EQUAL = "CentralEqual"
@@ -118,6 +103,7 @@ def conjugate_by(q: Multivector, x: Multivector, tol: float = DEFAULT_TOL) -> Mu
 
 
 def conjugation_matrix(q: Multivector, tol: float = DEFAULT_TOL) -> ConjugationMatrix:
+    q = _reduced(q)[0]  # as in conjugate_by: the map does not change when q is scaled
     q_inv = inverse(q, tol)
     full = tuple(zip(*((q * e * q_inv).coeffs for e in BASIS)))
     return ConjugationMatrix(full, tuple(row[1:7] for row in full[1:7]))
@@ -173,6 +159,7 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
     and satisfies |q*a - b*q| <= 8*tol*|q|*scale; raises SingularElement
     when there is none.
     """
+    _check_tol(tol)
     # decided on the reduced pair; the witness is scaled back
     a, b, e, a_norm, b_norm = _reduced_pair(a, b)
     scale = max(a_norm, b_norm)
@@ -212,7 +199,7 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
     for witness in _candidates(ca, cb):
         q_norm = witness.norm()
         if (_within(square_gap + cre_gap * q_norm, tol, 8.0 * q_norm * scale)
-                and not witness.is_singular(tol)):
+                and not _is_singular(witness, tol)):
             return SimilarityResult(True, _scaled(witness, e), SimilarityReason.INVARIANTS_MATCH)
     raise SingularElement(f"no witness candidate is invertible within tol = {tol:g}"
                           " and meets |qa - bq| <= 8 tol |q| scale")

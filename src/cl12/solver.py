@@ -1,28 +1,31 @@
-"""Linear equations a*x*b = d, a*x = d and x*b = d.
+"""Linear equations a*x*b = d, a*x = d and x*b = d, solved in the 2x2 image.
 
-One code path covers every invertibility mix: with p = pinv(a) and
-q = pinv(b), the equation is solvable iff a*p*d*q*b equals d, a particular
-solution is p*d*q, and the full solution set is
+A, B and D are the images of a, b and d under the map of
+:mod:`cl12.multivector`, each formed once; the particular solution is
+converted back once.  With A+ and B+ the images of pinv(a) and pinv(b), the
+equation is solvable iff A A+ D B+ B = D, X = A+ D B+ is a particular
+solution, and the solutions are the preimages of
+X + { Y - (A+ A) Y (B B+) : Y in M2(C) }.  Prime is the conjugate transpose
+in the image, so A+ is the Moore-Penrose inverse of A: adj(A) / det(A), with
+det(A) = N - 2T*i, for an invertible a, and A^H / (4K), the image of
+a.prime() / (4K), for a singular nonzero a (the kind as ``mp_inverse``
+decides it).  The residual |a*x*b - d| is |A X B - D|_F / sqrt(2), formed
+by products, so it is exactly 0.0 wherever they are exact.
 
-    p*d*q + { y - (p*a)*y*(b*q) : y in Cl(1,2) }.
-
-The homogeneous part comes in closed form through the 2x2 complex image
-of the algebra (the map of :mod:`cl12.multivector`).  There p*a and b*q
-become Hermitian projectors A and B, since the prime involution becomes
-the conjugate transpose.  Take an orthonormal eigenbasis of C^2 for each:
-the standard basis for an invertible operand (eigenvalues 1, 1) and for
-zero (0, 0); for a singular nonzero one (rank one, A = v v^H) the unit
-vector v read off the column with the larger diagonal entry, eigenvalue
-1, and w = (-conj(v2), conj(v1)), eigenvalue 0.  For eigenvectors v of A
-(eigenvalue l) and u of B (eigenvalue m), y = v u^H gives
-y - A y B = (1 - l*m) y, so the homogeneous solutions are spanned by
-v u^H and i v u^H over the pairs with l*m = 0.  These are orthogonal for
-Re tr(X^H Y), which is twice the coefficient inner product, so their
-images scaled by sqrt(2) are an orthonormal basis.  Since e7 maps to -i,
-i*y is the preimage of -e7*y: with y = sum c_k e_k that is the signed
-reversal (c7, c6, c5, c4, -c3, -c2, -c1, -c0) of y's coefficients, so
-each pair costs one conversion from the 2x2 image and no product.  Its size is read off
-the two kinds alone (rows: a, columns: b):
+A+ A and B B+ are Hermitian projectors.  Take an orthonormal eigenbasis of
+C^2 for each: the standard basis for an invertible operand (eigenvalues
+1, 1) and for zero (0, 0).  A singular nonzero A has rank one, and A+ A =
+v v^H with v the unit vector along the conjugate of A's larger row
+(eigenvalue 1); (-conj(v1), conj(v0)) has eigenvalue 0.  Likewise B B+ =
+u u^H with u along B's larger column.  For eigenvectors v of A+ A
+(eigenvalue l) and u of B B+ (eigenvalue m), Y = v u^H gives
+Y - (A+ A) Y (B B+) = (1 - l*m) Y, so the homogeneous solutions are spanned
+by v u^H and i v u^H over the pairs with l*m = 0.  These are orthogonal for
+Re tr(X^H Y), twice the coefficient inner product, so their preimages scaled
+by sqrt(2) are an orthonormal basis.  As e7 maps to -i, i*y is the preimage
+of -e7*y, the signed reversal (c7, c6, c5, c4, -c3, -c2, -c1, -c0) of y's
+coefficients: each pair costs one conversion and no product.  The dimension
+is read off the two kinds alone (rows: a, columns: b):
 
                   invertible  singular  zero
     invertible         0           4        8
@@ -35,28 +38,15 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .inverse import MPKind, _mp_inverse_reduced
-from .multivector import (
-    DEFAULT_TOL,
-    Multivector,
-    _from_m2,
-    _ldexp,
-    _reduced,
-    _scaled,
-    _to_m2,
-    _within,
-    e0,
-)
+from .inverse import _INVERTIBLE, _SINGULAR, _ZERO, _four_k, _kind
+from .multivector import (DEFAULT_TOL, Multivector, _check_tol, _from_m2, _ldexp, _reduced,
+                          _scaled, _to_m2, _within, e0)
 
 __all__ = ["SolutionSet", "solve_axb", "solve_ax", "solve_xb"]
 
 _SQRT2 = math.sqrt(2.0)
-_STANDARD = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
-# (eigenvalue, unit vector) pairs of the projector's image, per kind
-_EIGENBASIS = {
-    MPKind.INVERTIBLE: tuple((1, e) for e in _STANDARD),
-    MPKind.ZERO: tuple((0, e) for e in _STANDARD),
-}
+# the (eigenvalue, vector) pairs of an invertible and of a zero operand
+_ONES, _ZEROS = (((lam, (1.0 + 0j, 0j)), (lam, (0j, 1.0 + 0j))) for lam in (1, 0))
 
 
 class SolutionSet(NamedTuple):
@@ -65,13 +55,12 @@ class SolutionSet(NamedTuple):
     ``particular`` is None when unsolvable.  ``hom_basis`` is an
     orthonormal basis (as multivectors) of the homogeneous solution space,
     reported for unsolvable systems too (a list from ``solve_axb``, empty
-    by default); ``dim`` is its size, which the
-    kinds of a and b decide (the table in the module docstring).
-    ``residual`` is the 2-norm of a*x*b - d at the candidate solution,
-    which for an unsolvable system equals the least-squares residual of
-    the vectorized 8x8 system.  The system is solvable when the residual
-    is at most tol * (|a| |x| |b| + |d|), a bound that scales with the
-    equation.
+    by default); ``dim`` is its size, which the kinds of a and b decide
+    (the table in the module docstring).  ``residual`` is the 2-norm of
+    a*x*b - d at the candidate solution, which for an unsolvable system
+    equals the least-squares residual of the vectorized 8x8 system.  The
+    system is solvable when the residual is at most
+    tol * (|a| |x| |b| + |d|), a bound that scales with the equation.
     """
 
     solvable: bool
@@ -81,17 +70,51 @@ class SolutionSet(NamedTuple):
     residual: float = 0.0
 
 
-def _eigenbasis(kind: MPKind, x: Multivector, y: Multivector):
-    """Orthonormal (eigenvalue, vector) pairs of C^2 for the image of the
-    projector x*y, where ``kind`` is the kind of the operand in it."""
-    if kind in _EIGENBASIS:
-        return _EIGENBASIS[kind]
-    # rank one: the image is v v^H, and column j is v * conj(v_j)
-    (m00, m01), (m10, m11) = _to_m2(x * y)
-    c0, c1 = (m00, m10) if m00.real >= m11.real else (m01, m11)
-    r = math.hypot(abs(c0), abs(c1))
-    v0, v1 = c0 / r, c1 / r
-    return (1, (v0, v1)), (0, (-v1.conjugate(), v0.conjugate()))
+def _mm(x, y):
+    """The product of two 2x2 complex matrices, by rows."""
+    (x00, x01), (x10, x11) = x
+    (y00, y01), (y10, y11) = y
+    return ((x00 * y00 + x01 * y10, x00 * y01 + x01 * y11),
+            (x10 * y00 + x11 * y10, x10 * y01 + x11 * y11))
+
+
+def _image_pinv(m, c: tuple[float, ...], s: float, tol: float, columns: bool):
+    """(kind, image of pinv, (eigenvalue, vector) pairs) of the reduced element
+    with coefficients ``c``, square sum ``s`` and image ``m``; the pairs are an
+    eigenbasis of m+ m from m's rows, or with ``columns`` the conjugated
+    eigenbasis of m m+ from its columns."""
+    kind, n, t, p = _kind(c, s, tol)
+    (m00, m01), (m10, m11) = m
+    if kind is _INVERTIBLE:  # adj(m) / det(m), with 1 / det = (N + 2T i) / P
+        g = complex(n, 2.0 * t) / p
+        return kind, ((g * m11, -g * m01), (-g * m10, g * m00)), _ONES
+    if kind is _ZERO:
+        return kind, ((0j, 0j), (0j, 0j)), _ZEROS
+    d = _four_k(c)  # m^H / (4K); m has rank one, so z or y is a nonzero row (column)
+    z, y = zip(*m) if columns else m
+    rz, ry = math.hypot(abs(z[0]), abs(z[1])), math.hypot(abs(y[0]), abs(y[1]))
+    (z0, z1), r = (z, rz) if rz >= ry else (y, ry)
+    pairs = (1, (z0.conjugate() / r, z1.conjugate() / r)), (0, (-z1 / r, z0 / r))
+    return kind, ((m00.conjugate() / d, m10.conjugate() / d),
+                  (m01.conjugate() / d, m11.conjugate() / d)), pairs
+
+
+def _hom_basis(left, right) -> list[Multivector]:
+    """sqrt(2) v u^H and its multiple by i, a signed reversal, for l*m = 0."""
+    hom = []
+    for lam, (v0, v1) in left:
+        for mu, (u0, u1) in right:
+            if lam and mu:
+                continue
+            w0, w1 = _SQRT2 * u0, _SQRT2 * u1
+            y = _from_m2(((v0 * w0, v0 * w1), (v1 * w0, v1 * w1)))
+            c0, c1, c2, c3, c4, c5, c6, c7 = y.coeffs
+            hom += y, Multivector._from_floats(
+                (c7, c6, c5, c4, -c3 + 0.0, -c2 + 0.0, -c1 + 0.0, -c0 + 0.0))
+    return hom
+
+
+_ALL = tuple(_hom_basis(_ZEROS, _ZEROS))  # a basis of the algebra, as a zero operand gives
 
 
 def solve_axb(a: Multivector, b: Multivector, d: Multivector,
@@ -101,31 +124,19 @@ def solve_axb(a: Multivector, b: Multivector, d: Multivector,
     # no product below leaves the normal range and the verdict does not
     # depend on their scales; x scales back by 2^(ed - ea - eb).
     (a, ea, sa), (b, eb, sb), (d, ed, _) = _reduced(a), _reduced(b), _reduced(d)
-    p, kind_a, _ = _mp_inverse_reduced(a, sa, tol)
-    q, kind_b, _ = _mp_inverse_reduced(b, sb, tol)
-    x0 = p * d * q
-    residual = (a * x0 * b - d).norm()
+    ma, mb, md = _to_m2(a), _to_m2(b), _to_m2(d)
+    kind_a, pa, left = _image_pinv(ma, a.coeffs, sa, _check_tol(tol), False)
+    kind_b, pb, right = _image_pinv(mb, b.coeffs, sb, tol, True)
+    x = _mm(_mm(pa, md), pb)
+    x0 = _from_m2(x)
+    (r00, r01), (r10, r11) = _mm(_mm(ma, x), mb)
+    (d00, d01), (d10, d11) = md
+    residual = math.hypot(abs(r00 - d00), abs(r01 - d01), abs(r10 - d10), abs(r11 - d11)) / _SQRT2
     solvable = _within(residual, tol, a.norm() * x0.norm() * b.norm() + d.norm())
-    hom = []
-    right = _eigenbasis(kind_b, b, q)
-    for lam, (v0, v1) in _eigenbasis(kind_a, p, a):
-        for mu, (u0, u1) in right:
-            if lam and mu:
-                continue
-            # sqrt(2) v u^H, and its multiple by i as a signed reversal
-            w0, w1 = _SQRT2 * u0.conjugate(), _SQRT2 * u1.conjugate()
-            y = _from_m2(((v0 * w0, v0 * w1), (v1 * w0, v1 * w1)))
-            c0, c1, c2, c3, c4, c5, c6, c7 = y.coeffs
-            hom.append(y)
-            hom.append(Multivector._from_floats(
-                (c7, c6, c5, c4, -c3 + 0.0, -c2 + 0.0, -c1 + 0.0, -c0 + 0.0)))
-    return SolutionSet(
-        solvable,
-        _scaled(x0, ed - ea - eb) if solvable else None,
-        hom,
-        len(hom),
-        _ldexp(residual, ed),  # inf when |d| is near the largest double
-    )
+    kinds = kind_a, kind_b  # with no singular operand, dim is 0 or 8
+    hom = _hom_basis(left, right) if _SINGULAR in kinds else list(_ALL) if _ZERO in kinds else []
+    return SolutionSet(solvable, _scaled(x0, ed - ea - eb) if solvable else None, hom, len(hom),
+                       _ldexp(residual, ed))  # inf when |d| is near the largest double
 
 
 def solve_ax(a: Multivector, d: Multivector, tol: float = DEFAULT_TOL) -> SolutionSet:

@@ -48,22 +48,9 @@ from operator import mul
 from . import oracle
 from .inverse import MPKind, inverse, mp_inverse
 from .matrep import K8, S8, left_matrix, right_matrix
-from .multivector import (
-    BASIS,
-    DEFAULT_TOL,
-    MUL_SIGN,
-    Multivector,
-    _from_m2,
-    _to_m2,
-    _within,
-    eigenvalues,
-)
-from .similarity import (
-    SimilarityReason,
-    conjugate_by,
-    conjugation_matrix,
-    is_similar,
-)
+from .multivector import (BASIS, DEFAULT_TOL, MUL_SIGN, Multivector, _check_tol, _from_m2,
+                          _is_singular, _to_m2, _within, eigenvalues)
+from .similarity import SimilarityReason, conjugate_by, conjugation_matrix, is_similar
 from .solver import solve_axb
 
 __all__ = ["SuiteResult", "run_all", "random_multivector", "random_invertible", "random_singular"]
@@ -100,9 +87,10 @@ def random_multivector(rng: random.Random, lo: int = -5, hi: int = 5) -> Multive
 
 
 def random_invertible(rng: random.Random, tol: float = DEFAULT_TOL) -> Multivector:
+    _check_tol(tol)
     while True:
         a = random_multivector(rng)
-        if not a.is_singular(tol):
+        if not _is_singular(a, tol):
             return a
 
 
@@ -397,6 +385,7 @@ def run_all(trials: int = 100, seed: int = 0, tol: float = DEFAULT_TOL) -> list[
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_tol(tol)  # a bad tol is a usage error, not a failed check per suite
     results = []
     for k, (name, suite) in enumerate(_SUITES):
         res = SuiteResult(name)

@@ -17,6 +17,7 @@ from cl12 import (
     Multivector,
     SimilarityReason,
     conjugate_by,
+    conjugation_matrix,
     e0,
     e1,
     e2,
@@ -29,7 +30,9 @@ from cl12 import (
     mp_inverse,
     solve_ax,
     solve_axb,
+    solve_xb,
 )
+from cl12.verify import run_all
 from support import random_invertible, random_multivector, random_nonzero_mixed
 
 # exponents across the whole double range and a little beyond, dense enough
@@ -184,6 +187,39 @@ def test_tolerance_must_lie_in_unit_interval():
                      lambda: is_similar(e2, e4, tol)):
             with pytest.raises(ValueError):
                 call()
+
+
+# every public function that takes a tolerance, called with it
+TOL_TAKERS = {
+    "is_singular": lambda tol: (e1 + e2).is_singular(tol),
+    "is_central": lambda tol: e0.is_central(tol),
+    "isclose": lambda tol: e0.isclose(e1, tol),
+    "inverse": lambda tol: inverse(e0, tol),
+    "mp_inverse": lambda tol: mp_inverse(e1, tol),
+    "solve_axb": lambda tol: solve_axb(e1, e2, e3, tol),
+    "solve_ax": lambda tol: solve_ax(e1, e1, tol),
+    "solve_xb": lambda tol: solve_xb(e1, e1, tol),
+    "is_similar": lambda tol: is_similar(e2, e4, tol),
+    "conjugate_by": lambda tol: conjugate_by(e0 + e2, e1, tol),
+    "conjugation_matrix": lambda tol: conjugation_matrix(e0 + e2, tol),
+    "run_all": lambda tol: run_all(1, 0, tol),
+    "random_invertible": lambda tol: random_invertible(random.Random(0), tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOL_TAKERS))
+@pytest.mark.parametrize("tol", [-1e-9, 1.0, math.nan])
+def test_every_tolerance_taker_checks_its_tolerance(name, tol):
+    with pytest.raises(ValueError, match="tolerance must be nonnegative and below 1"):
+        TOL_TAKERS[name](tol)
+    TOL_TAKERS[name](1e-9)
+
+
+def test_conjugation_matrix_does_not_depend_on_the_scale_of_q():
+    q = e0 + e2 + e4
+    want = repr(conjugation_matrix(q))
+    for k in (-1070, -600, 600, 1000):
+        assert repr(conjugation_matrix(q * 2.0 ** k)) == want
 
 
 def test_large_tolerance_keeps_units_invertible():

@@ -1,5 +1,8 @@
+import json
 import math
 import random
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +24,9 @@ from cl12 import (
     vectorize,
     witness_candidates,
 )
-from cl12 import mp_inverse, oracle
-from cl12.multivector import _reduced
-from cl12.solver import _eigenbasis
+from cl12 import MPKind, mp_inverse, oracle
+from cl12.cli import main
+from cl12.multivector import _reduced, _to_m2
 from support import (
     random_invertible,
     random_multivector,
@@ -139,16 +142,27 @@ def _ref_from_m2(m):
     ))
 
 
+def _ref_pairs(kind, z, y):
+    # (eigenvalue, vector): from the rows z, y of A the eigenbasis of A+ A,
+    # from the columns of B the conjugated eigenbasis of B B+
+    if kind is not MPKind.SINGULAR_NONZERO:
+        lam = int(kind is MPKind.INVERTIBLE)
+        return [(lam, (1 + 0j, 0j)), (lam, (0j, 1 + 0j))]
+    rz, ry = math.hypot(abs(z[0]), abs(z[1])), math.hypot(abs(y[0]), abs(y[1]))
+    (z0, z1), r = (z, rz) if rz >= ry else (y, ry)
+    return [(1, (z0.conjugate() / r, z1.conjugate() / r)), (0, (-z1 / r, z0 / r))]
+
+
 def _ref_hom_basis(a, b):
     # sqrt(2) v u^H and its product with 1j, both through _ref_from_m2
     (a, _, _), (b, _, _) = _reduced(a), _reduced(b)
-    ma, mb = mp_inverse(a), mp_inverse(b)
+    ma, mb = _to_m2(a), _to_m2(b)
     hom = []
-    for lam, (v0, v1) in _eigenbasis(ma.kind, ma.pinv, a):
-        for mu, (u0, u1) in _eigenbasis(mb.kind, b, mb.pinv):
+    for lam, (v0, v1) in _ref_pairs(mp_inverse(a).kind, *ma):
+        for mu, (u0, u1) in _ref_pairs(mp_inverse(b).kind, *zip(*mb)):
             if lam and mu:
                 continue
-            w0, w1 = math.sqrt(2.0) * u0.conjugate(), math.sqrt(2.0) * u1.conjugate()
+            w0, w1 = math.sqrt(2.0) * u0, math.sqrt(2.0) * u1
             m = ((v0 * w0, v0 * w1), (v1 * w0, v1 * w1))
             hom += [_ref_from_m2(m), _ref_from_m2(tuple((1j * z, 1j * w) for z, w in m))]
     return hom
@@ -186,3 +200,14 @@ def test_composites_bit_identical_to_reference():
         assert repr(witness_candidates(a, b)) == repr([cb * p + p * ca for p in BASIS[:4]])
         parts = [a.conjugate(), a.prime(), a.cre(), a.cim(), *a.split_h()]
         assert repr(parts) == repr(_ref_parts(a))
+
+
+def test_readme_solve_examples_have_zero_residual(capsys):
+    # every operand's pinv is dyadic here, so every product is exact
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [shlex.split(line.split("#")[0])[1:] for line in readme.splitlines()
+                if line.startswith("cl12 solve ")]
+    assert len(commands) == 2
+    for argv in commands:
+        assert main([*argv, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["residual"] == 0.0
