@@ -114,7 +114,7 @@ def _hom_basis(left, right) -> list[Multivector]:
     return hom
 
 
-_ALL = tuple(_hom_basis(_ZEROS, _ZEROS))  # a basis of the algebra, as a zero operand gives
+_ALL = tuple(_hom_basis(_ZEROS, _ZEROS))  # zero beside a nonsingular operand: all of Cl(1,2)
 
 
 def solve_axb(a: Multivector, b: Multivector, d: Multivector,
