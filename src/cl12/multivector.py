@@ -427,6 +427,14 @@ def _from_m2(m) -> Multivector:
         (i11 - i00) * 0.5 + 0.0, -(i00 + i11) * 0.5 + 0.0))
 
 
+def _m2_mul(x, y):
+    """The product of two 2x2 complex matrices, by rows."""
+    (x00, x01), (x10, x11) = x
+    (y00, y01), (y10, y11) = y
+    return ((x00 * y00 + x01 * y10, x00 * y01 + x01 * y11),
+            (x10 * y00 + x11 * y10, x10 * y01 + x11 * y11))
+
+
 class EigenSpectrum(NamedTuple):
     """The four eigenvalues of L(a), each of algebraic multiplicity 2.
 

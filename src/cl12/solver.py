@@ -39,8 +39,8 @@ import math
 from typing import NamedTuple, Sequence
 
 from .inverse import _INVERTIBLE, _SINGULAR, _ZERO, _four_k, _kind
-from .multivector import (DEFAULT_TOL, Multivector, _check_tol, _from_m2, _ldexp, _reduced,
-                          _scaled, _to_m2, _within, e0)
+from .multivector import (DEFAULT_TOL, Multivector, _check_tol, _from_m2, _ldexp, _m2_mul,
+                          _reduced, _scaled, _to_m2, _within, e0)
 
 __all__ = ["SolutionSet", "solve_axb", "solve_ax", "solve_xb"]
 
@@ -68,14 +68,6 @@ class SolutionSet(NamedTuple):
     hom_basis: Sequence[Multivector] = ()
     dim: int = 0
     residual: float = 0.0
-
-
-def _mm(x, y):
-    """The product of two 2x2 complex matrices, by rows."""
-    (x00, x01), (x10, x11) = x
-    (y00, y01), (y10, y11) = y
-    return ((x00 * y00 + x01 * y10, x00 * y01 + x01 * y11),
-            (x10 * y00 + x11 * y10, x10 * y01 + x11 * y11))
 
 
 def _image_pinv(m, c: tuple[float, ...], s: float, tol: float, columns: bool):
@@ -127,9 +119,9 @@ def solve_axb(a: Multivector, b: Multivector, d: Multivector,
     ma, mb, md = _to_m2(a), _to_m2(b), _to_m2(d)
     kind_a, pa, left = _image_pinv(ma, a.coeffs, sa, _check_tol(tol), False)
     kind_b, pb, right = _image_pinv(mb, b.coeffs, sb, tol, True)
-    x = _mm(_mm(pa, md), pb)
+    x = _m2_mul(_m2_mul(pa, md), pb)
     x0 = _from_m2(x)
-    (r00, r01), (r10, r11) = _mm(_mm(ma, x), mb)
+    (r00, r01), (r10, r11) = _m2_mul(_m2_mul(ma, x), mb)
     (d00, d01), (d10, d11) = md
     residual = math.hypot(abs(r00 - d00), abs(r01 - d01), abs(r10 - d10), abs(r11 - d11)) / _SQRT2
     solvable = _within(residual, tol, a.norm() * x0.norm() * b.norm() + d.norm())

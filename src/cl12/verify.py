@@ -49,7 +49,7 @@ from . import oracle
 from .inverse import MPKind, inverse, mp_inverse
 from .matrep import K8, S8, left_matrix, right_matrix
 from .multivector import (BASIS, DEFAULT_TOL, MUL_SIGN, Multivector, _check_tol, _from_m2,
-                          _is_singular, _to_m2, _within, eigenvalues)
+                          _is_singular, _m2_mul, _to_m2, _within, eigenvalues)
 from .similarity import SimilarityReason, conjugate_by, conjugation_matrix, is_similar
 from .solver import solve_axb
 
@@ -134,13 +134,6 @@ def _det(m) -> float:
             f = row[k] / a[k][k]
             row[k:] = [x - f * y for x, y in zip(row[k:], a[k][k:])]
     return det
-
-
-def _m2_mul(x, y):
-    """Product of two 2x2 complex matrices given by rows."""
-    (a, b), (c, d) = x
-    (e, f), (g, h) = y
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 # -- suites -----------------------------------------------------------------
