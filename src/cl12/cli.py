@@ -21,6 +21,12 @@ runs), 2 parse or usage error (a literal number that
 is not a finite double, such as ``1e+999`` or a JSON ``Infinity``, is a
 parse error; an operand the solve form does not take, such as ``--b``
 for ``solve ax``, or one it needs and lacks is a usage error).
+
+Each command imports what it needs beyond the package's eager modules
+(multivector and inverse) when it runs: solve the solver, similar the
+similarity module, rep the matrix representation, det the oracle and
+verify the suites.  Every command runs in a fresh process, which compiles
+only those modules.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ import re
 import sys
 
 from .inverse import SingularElement, inverse, mp_inverse
-from .matrep import left_matrix, right_matrix
 from .multivector import (
     DEFAULT_TOL,
     Multivector,
@@ -43,8 +48,6 @@ from .multivector import (
     eigenvalues,
     format_multivector,
 )
-from .similarity import _reduced_pair, is_similar
-from .solver import solve_axb
 
 __all__ = ["ParseError", "parse_multivector", "main"]
 
@@ -272,6 +275,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solver import solve_axb
+
     # a*x = d and x*b = d are a*x*b = d with e0 on the side the form omits
     texts = [getattr(args, side) for side in "ab"]
     for side, text in zip("ab", texts):
@@ -303,6 +308,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_similar(args) -> int:
+    from .similarity import _reduced_pair, is_similar
+
     a = parse_multivector(args.a, args.tol)
     b = parse_multivector(args.b, args.tol)
     verdict = is_similar(a, b, args.tol)
@@ -327,6 +334,8 @@ def _cmd_similar(args) -> int:
 
 
 def _cmd_rep(args) -> int:
+    from .matrep import left_matrix, right_matrix
+
     a = parse_multivector(args.a, args.tol)
     m = (left_matrix if args.side == "left" else right_matrix)(a)
     if args.json:
@@ -368,7 +377,7 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_all  # the suites, which no other command needs
+    from .verify import run_all
 
     results = run_all(trials=args.trials, seed=args.seed, tol=args.tol)
     ok = all(r.ok for r in results)

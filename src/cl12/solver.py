@@ -115,7 +115,7 @@ def solve_axb(a: Multivector, b: Multivector, d: Multivector,
     # Work on the operands reduced by powers of two (see _reduced), so that
     # no product below leaves the normal range and the verdict does not
     # depend on their scales; x scales back by 2^(ed - ea - eb).
-    (a, ea, sa), (b, eb, sb), (d, ed, _) = _reduced(a), _reduced(b), _reduced(d)
+    (a, ea, sa), (b, eb, sb), (d, ed, sd) = _reduced(a), _reduced(b), _reduced(d)
     ma, mb, md = _to_m2(a), _to_m2(b), _to_m2(d)
     kind_a, pa, left = _image_pinv(ma, a.coeffs, sa, _check_tol(tol), False)
     kind_b, pb, right = _image_pinv(mb, b.coeffs, sb, tol, True)
@@ -124,7 +124,8 @@ def solve_axb(a: Multivector, b: Multivector, d: Multivector,
     (r00, r01), (r10, r11) = _m2_mul(_m2_mul(ma, x), mb)
     (d00, d01), (d10, d11) = md
     residual = math.hypot(abs(r00 - d00), abs(r01 - d01), abs(r10 - d10), abs(r11 - d11)) / _SQRT2
-    solvable = _within(residual, tol, a.norm() * x0.norm() * b.norm() + d.norm())
+    # |a|, |b| and |d| from the square sums _reduced has already formed
+    solvable = _within(residual, tol, math.sqrt(sa) * x0.norm() * math.sqrt(sb) + math.sqrt(sd))
     kinds = kind_a, kind_b  # with no singular operand, dim is 0 or 8
     hom = _hom_basis(left, right) if _SINGULAR in kinds else list(_ALL) if _ZERO in kinds else []
     return SolutionSet(solvable, _scaled(x0, ed - ea - eb) if solvable else None, hom, len(hom),

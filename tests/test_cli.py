@@ -571,6 +571,61 @@ def test_imports_leave_dataclasses_and_inspect_out():
         assert (done.returncode, done.stdout) == (0, "[]\n"), (module, done.stderr)
 
 
+_COMMAND_MODULES = ("matrep", "similarity", "solver", "oracle", "verify")
+
+
+def _fresh_python(script):
+    env = {**os.environ, "PYTHONPATH": str(Path(cl12.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def _loaded_by(*argv):
+    """The modules of ``_COMMAND_MODULES`` that a fresh process loads to run
+    ``cl12.cli.main(argv)``, as ``python -m cl12`` does, or with no
+    arguments to import ``cl12``."""
+    run = f"from cl12.cli import main; main({list(argv)!r})" if argv else "import cl12"
+    done = _fresh_python(f"import sys; {run}; "
+                         f"print(*(m for m in {_COMMAND_MODULES!r} if 'cl12.' + m in sys.modules))")
+    assert (done.returncode, done.stderr) == (0, ""), (argv, done.stderr)
+    return done.stdout.splitlines()[-1].split()  # the command prints first
+
+
+def test_each_command_loads_only_the_modules_it_needs():
+    # the package loads multivector and inverse; the rest load on first use
+    assert _loaded_by() == []
+    assert _loaded_by("eig", "e1", "--json") == []
+    assert _loaded_by("similar", "e1", "e2") == ["similarity"]
+    assert _loaded_by("solve", "ax", "--a", "e1", "--d", "e2") == ["solver"]
+    assert _loaded_by("rep", "e1") == ["matrep"]
+
+
+def test_package_names_are_their_home_objects():
+    # cl12.inverse names both a submodule and a function; importing the
+    # submodule sets the package attribute to the module, so a lazy name
+    # table that held inverse would hand out the module here
+    script = """
+import sys
+import cl12.cli, cl12.similarity, cl12.solver
+import cl12
+bound = dict(vars(cl12))  # before any name resolves through __getattr__
+bad = []
+for name in cl12.__all__:
+    value = bound[name] if name in bound else getattr(cl12, name)
+    homes = {id(vars(m)[name]) for n, m in list(sys.modules.items())
+             if n.startswith("cl12.") and name in vars(m)}
+    if homes != {id(value)}:
+        bad.append(name)
+print(bad)
+"""
+    done = _fresh_python(script)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cl12.no_such_name
+    assert "__all__" in dir(cl12) and set(cl12.__all__) <= set(dir(cl12))
+    assert len(set(cl12.__all__)) == len(cl12.__all__)
+
+
 def test_suite_result_counts_and_keeps_five_messages():
     res = SuiteResult("s")
     for n in range(8):
