@@ -15,7 +15,8 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .multivector import DEFAULT_TOL, Multivector, _check_tol, _ntp, _reduced, _scaled, _within
+from .multivector import (DEFAULT_TOL, Multivector, _check_tol, _make, _ntp, _reduced, _scaled,
+                          _within)
 
 __all__ = ["SingularElement", "MPKind", "MPResult", "inverse", "mp_inverse"]
 
@@ -55,7 +56,7 @@ def _invert(c: tuple[float, ...], n: float, t: float, p: float) -> Multivector:
     e7 * e_j = MUL_SIGN[7][j] e_(7^j), and the conjugate negates e1..e6."""
     c0, c1, c2, c3, c4, c5, c6, c7 = c
     g0, g7 = n / p, -2.0 * t / p
-    return Multivector._from_floats((
+    return _make((
         0.0 + g0 * c0 - g7 * c7, 0.0 - g0 * c1 + g7 * c6, 0.0 - g0 * c2 + g7 * c5,
         0.0 - g0 * c3 + g7 * c4, 0.0 - g0 * c4 - g7 * c3, 0.0 - g0 * c5 - g7 * c2,
         0.0 - g0 * c6 - g7 * c1, 0.0 + g0 * c7 + g7 * c0,
@@ -91,7 +92,7 @@ def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
     if kind is _ZERO:
         return MPResult(Multivector.zero(), kind, 0.0)
     d = _four_k(c)  # x = a.prime() / (4K)
-    x = Multivector._from_floats(tuple([y / d + 0.0 for y in (c0, c1, -c2, c3, -c4, c5, -c6, -c7)]))
+    x = _make(tuple([y / d + 0.0 for y in (c0, c1, -c2, c3, -c4, c5, -c6, -c7)]))
     return MPResult(_scaled(x, -e), kind, p / (s * s))
 
 

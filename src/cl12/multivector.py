@@ -20,14 +20,22 @@ summation order of the plain double loop over the table.  The terms the
 loop skips for a zero factor are +-0.0 here (inputs are finite); under
 round-to-nearest a running sum that starts at +0.0 is never -0.0, and
 adding +-0.0 to it changes nothing.  So the generated product rounds
-exactly like the loop, sign of zero included, and never holds -0.0: its
-result skips the constructor's normalization and is only checked for
-finiteness.  The closed forms are straight-line tuple code by the same
-rule, so on the element ``_reduced`` returns each is bit-identical to its
+exactly like the loop, sign of zero included, and never holds -0.0.  The
+closed forms are straight-line tuple code by the same rule, so on the
+element ``_reduced`` returns each is bit-identical to its
 Multivector-level formula: the inverse ((N - 2T*e7)/P) * a.conjugate() is
 0.0 +- g0*c_k +- g7*c_(7^k), that product's nonzero terms in its order;
 ``+``, ``-``, scaling by a real and a.prime()/(4K) add 0.0 last, as do the
 involutions to each coefficient they negate; no result holds -0.0.
+
+So every operation builds its result with ``_make(c)``, from a tuple of
+eight floats that holds no -0.0.  ``_make`` skips the constructor's
+``float()`` and ``+ 0.0`` normalization and checks only finiteness (a
+product or a scaling can overflow), once, in ``_finite``, the check
+``Multivector(coeffs)`` shares; it allocates through ``object.__new__`` and
+fills the ``_c`` slot through the slot's own ``__set__``, so no ``__init__``
+runs.  ``coeffs`` is that slot under a public name, so reading it is a
+plain slot read.  An element refuses to set or delete any attribute.
 
 The algebra is the algebra M2(C) of 2x2 complex matrices.  The map
 
@@ -160,34 +168,19 @@ class Multivector:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[float]):
-        c = tuple(float(x) + 0.0 for x in coeffs)  # +0.0 normalizes -0.0
+        c = tuple([float(x) + 0.0 for x in coeffs])  # +0.0 normalizes -0.0
         if len(c) != 8:
             raise ValueError(f"expected 8 coefficients, got {len(c)}")
-        if not all(math.isfinite(x) for x in c):
-            raise ValueError(f"coefficients must be finite, got {c}")
-        object.__setattr__(self, "_c", c)
+        _set_c(self, _finite(c))
 
-    @classmethod
-    def _from_floats(cls, c: tuple[float, ...]) -> "Multivector":
-        # For a tuple of eight floats that holds no -0.0 already; only
-        # finiteness is left to check (a product can overflow).
-        c0, c1, c2, c3, c4, c5, c6, c7 = c
-        if not (isfinite(c0) and isfinite(c1) and isfinite(c2) and isfinite(c3)
-                and isfinite(c4) and isfinite(c5) and isfinite(c6) and isfinite(c7)):
-            raise ValueError(f"coefficients must be finite, got {c}")
-        self = object.__new__(cls)
-        object.__setattr__(self, "_c", c)
-        return self
+    def __setattr__(self, name, value):
+        raise AttributeError("Multivector is immutable")
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __delattr__(self, name):
         raise AttributeError("Multivector is immutable")
 
     def __reduce__(self):  # pickle and copy rebuild through the constructor
         return (Multivector, (self._c,))
-
-    @property
-    def coeffs(self) -> tuple[float, ...]:
-        return self._c
 
     # -- constructors -------------------------------------------------
 
@@ -212,25 +205,25 @@ class Multivector:
     def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector._from_floats(tuple([x + y + 0.0 for x, y in zip(self._c, other._c)]))
+        return _make(tuple([x + y + 0.0 for x, y in zip(self._c, other._c)]))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector._from_floats(tuple([x - y + 0.0 for x, y in zip(self._c, other._c)]))
+        return _make(tuple([x - y + 0.0 for x, y in zip(self._c, other._c)]))
 
     def __neg__(self) -> "Multivector":
-        return Multivector._from_floats(tuple([-x + 0.0 for x in self._c]))
+        return _make(tuple([-x + 0.0 for x in self._c]))
 
     def __pos__(self) -> "Multivector":
         return self
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
-            return Multivector._from_floats(_mul_coeffs(self._c, other._c))
+            return _make(_mul_coeffs(self._c, other._c))
         if isinstance(other, (int, float)):
             s = float(other)
-            return Multivector._from_floats(tuple([x * s + 0.0 for x in self._c]))
+            return _make(tuple([x * s + 0.0 for x in self._c]))
         return NotImplemented
 
     __rmul__ = __mul__  # reached only for a non-Multivector left factor; s*x == x*s
@@ -240,7 +233,7 @@ class Multivector:
             s = float(other)
             if not s:
                 raise ValueError("division of a multivector by zero")
-            return Multivector._from_floats(tuple([x / s + 0.0 for x in self._c]))
+            return _make(tuple([x / s + 0.0 for x in self._c]))
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -262,8 +255,7 @@ class Multivector:
     def conjugate(self) -> "Multivector":
         """Negate the e1..e6 components; fixes scalars and e7."""
         c0, c1, c2, c3, c4, c5, c6, c7 = self._c
-        return Multivector._from_floats(
-            (c0, -c1 + 0.0, -c2 + 0.0, -c3 + 0.0, -c4 + 0.0, -c5 + 0.0, -c6 + 0.0, c7))
+        return _make((c0, -c1 + 0.0, -c2 + 0.0, -c3 + 0.0, -c4 + 0.0, -c5 + 0.0, -c6 + 0.0, c7))
 
     def prime(self) -> "Multivector":
         """Negate the e2, e4, e6, e7 components.
@@ -272,18 +264,17 @@ class Multivector:
         the left regular representation.
         """
         c0, c1, c2, c3, c4, c5, c6, c7 = self._c
-        return Multivector._from_floats(
-            (c0, c1, -c2 + 0.0, c3, -c4 + 0.0, c5, -c6 + 0.0, -c7 + 0.0))
+        return _make((c0, c1, -c2 + 0.0, c3, -c4 + 0.0, c5, -c6 + 0.0, -c7 + 0.0))
 
     def cre(self) -> "Multivector":
         """Central part c0 + c7*e7, equal to (a + a.conjugate()) / 2."""
         c = self._c
-        return Multivector._from_floats((c[0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, c[7]))
+        return _make((c[0], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, c[7]))
 
     def cim(self) -> "Multivector":
         """Complement of the central part: a - a.cre()."""
         c = self._c
-        return Multivector._from_floats((0.0, *c[1:7], 0.0))
+        return _make((0.0, *c[1:7], 0.0))
 
     def split_h(self) -> tuple["Multivector", "Multivector"]:
         """Split a = a_h + a_H * e4 with both halves in span{e0, e1, e2, e3}.
@@ -294,7 +285,7 @@ class Multivector:
         """
         c = self._c
         zeros = (0.0, 0.0, 0.0, 0.0)
-        return Multivector._from_floats(c[:4] + zeros), Multivector._from_floats(c[4:] + zeros)
+        return _make(c[:4] + zeros), _make(c[4:] + zeros)
 
     # -- scalar forms ----------------------------------------------------
 
@@ -348,6 +339,28 @@ class Multivector:
         return _within(gap, _check_tol(tol), max(self.norm(), other.norm()))
 
 
+#: The coefficient tuple: ``coeffs`` is the ``_c`` slot under a public name.
+Multivector.coeffs = Multivector._c
+_new, _set_c = object.__new__, Multivector._c.__set__
+
+
+def _finite(c: tuple[float, ...]) -> tuple[float, ...]:
+    """``c`` itself, a tuple of eight floats; ValueError unless all are finite."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
+    if not (isfinite(c0) and isfinite(c1) and isfinite(c2) and isfinite(c3)
+            and isfinite(c4) and isfinite(c5) and isfinite(c6) and isfinite(c7)):
+        raise ValueError(f"coefficients must be finite, got {c}")
+    return c
+
+
+def _make(c: tuple[float, ...]) -> Multivector:
+    """The element with coefficients ``c``, eight floats holding no -0.0
+    (see the module docstring); only finiteness is checked."""
+    self = _new(Multivector)
+    _set_c(self, _finite(c))
+    return self
+
+
 def _check_tol(tol: float) -> float:
     """``tol`` itself; ValueError unless 0 <= tol < 1."""
     if not 0.0 <= tol < 1.0:
@@ -379,7 +392,7 @@ def _scaled(a: Multivector, e: int) -> Multivector:
     if not e:
         return a
     try:
-        return Multivector._from_floats(tuple([math.ldexp(x, e) + 0.0 for x in a._c]))
+        return _make(tuple([math.ldexp(x, e) + 0.0 for x in a._c]))
     except OverflowError:
         raise ValueError(f"scaling by 2^{e} overflows the coefficients") from None
 
@@ -421,7 +434,7 @@ def _from_m2(m) -> Multivector:
     (m00, m01), (m10, m11) = m
     r00, i00, r01, i01 = m00.real, m00.imag, m01.real, m01.imag
     r10, i10, r11, i11 = m10.real, m10.imag, m11.real, m11.imag
-    return Multivector._from_floats((  # x * 0.5 rounds as x / 2 does, and is faster
+    return _make((  # x * 0.5 rounds as x / 2 does, and is faster
         (r00 + r11) * 0.5 + 0.0, (r00 - r11) * 0.5 + 0.0, (i01 + i10) * 0.5 + 0.0,
         (i01 - i10) * 0.5 + 0.0, (r01 - r10) * 0.5 + 0.0, (r01 + r10) * 0.5 + 0.0,
         (i11 - i00) * 0.5 + 0.0, -(i00 + i11) * 0.5 + 0.0))

@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 from .inverse import SingularElement, inverse
 from .multivector import (BASIS, DEFAULT_TOL, MUL_SIGN, Multivector, _check_tol, _is_singular,
-                          _ntp, _reduced, _scaled, _within, e0)
+                          _make, _ntp, _reduced, _scaled, _within, e0)
 
 __all__ = ["SimilarityReason", "SimilarityResult", "ConjugationMatrix", "conjugate_by",
            "conjugation_matrix", "is_similar", "witness_candidates"]
@@ -119,10 +119,11 @@ _CANDIDATE_TERMS = tuple(
 )
 
 
-def _candidates(ca: Multivector, cb: Multivector):
-    a, b = ca.coeffs, cb.coeffs
+def _candidates(a: tuple[float, ...], b: tuple[float, ...]):
+    """The candidates of :func:`witness_candidates` from the coefficients
+    ``a`` of cim(a) and ``b`` of cim(b), each built when it is reached."""
     for terms in _CANDIDATE_TERMS:
-        yield Multivector._from_floats(tuple([sb * b[j] + sa * a[j] + 0.0 for j, sb, sa in terms]))
+        yield _make(tuple([sb * b[j] + sa * a[j] + 0.0 for j, sb, sa in terms]))
 
 
 def witness_candidates(a: Multivector, b: Multivector) -> list[Multivector]:
@@ -131,7 +132,7 @@ def witness_candidates(a: Multivector, b: Multivector) -> list[Multivector]:
     Candidate t is cim(b)*e_t + e_t*cim(a) for t = 0..3; this order of the
     factors is what makes q multiply a from the left and b from the right.
     """
-    return list(_candidates(a.cim(), b.cim()))
+    return list(_candidates(a.cim().coeffs, b.cim().coeffs))
 
 
 def _reduced_pair(a: Multivector, b: Multivector) -> tuple[Multivector, Multivector, int, float, float]:
@@ -187,13 +188,13 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
     if not _within(ta - tb, tol, scale * scale):
         return SimilarityResult(False, None, SimilarityReason.T_MISMATCH)
 
-    ca = a.cim()
-    cb = b.cim()
-    if agree(ca.coeffs, cb.coeffs):
+    ca = (0.0, *a.coeffs[1:7], 0.0)  # the coefficients of cim(a) and cim(b)
+    cb = (0.0, *b.coeffs[1:7], 0.0)
+    if agree(ca, cb):
         return SimilarityResult(True, e0, SimilarityReason.INVARIANTS_MATCH)
     # the residual bound of the module docstring
-    nca, tca, _ = _ntp(ca.coeffs)
-    ncb, tcb, _ = _ntp(cb.coeffs)
+    nca, tca, _ = _ntp(ca)
+    ncb, tcb, _ = _ntp(cb)
     square_gap = math.hypot(nca - ncb, 2.0 * (tca - tcb))
     cre_gap = abs(a.coeffs[0] - b.coeffs[0]) + abs(a.coeffs[7] - b.coeffs[7])
     for witness in _candidates(ca, cb):

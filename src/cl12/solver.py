@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 from .inverse import _INVERTIBLE, _SINGULAR, _ZERO, _four_k, _kind
 from .multivector import (DEFAULT_TOL, Multivector, _check_tol, _from_m2, _ldexp, _m2_mul,
-                          _reduced, _scaled, _to_m2, _within, e0)
+                          _make, _reduced, _scaled, _to_m2, _within, e0)
 
 __all__ = ["SolutionSet", "solve_axb", "solve_ax", "solve_xb"]
 
@@ -101,8 +101,7 @@ def _hom_basis(left, right) -> list[Multivector]:
             w0, w1 = _SQRT2 * u0, _SQRT2 * u1
             y = _from_m2(((v0 * w0, v0 * w1), (v1 * w0, v1 * w1)))
             c0, c1, c2, c3, c4, c5, c6, c7 = y.coeffs
-            hom += y, Multivector._from_floats(
-                (c7, c6, c5, c4, -c3 + 0.0, -c2 + 0.0, -c1 + 0.0, -c0 + 0.0))
+            hom += y, _make((c7, c6, c5, c4, -c3 + 0.0, -c2 + 0.0, -c1 + 0.0, -c0 + 0.0))
     return hom
 
 

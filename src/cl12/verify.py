@@ -94,16 +94,19 @@ def random_invertible(rng: random.Random, tol: float = DEFAULT_TOL) -> Multivect
             return a
 
 
+# P is multiplicative, so multiplying a singular seed by anything stays
+# singular; both one-sided factors appear in the wild, use both.
+_SINGULAR_SEEDS = (
+    Multivector((0, 1, 1, 0, 0, 0, 0, 0)),  # e1 + e2
+    Multivector((1, 1, 0, 0, 0, 0, 0, 0)),  # 1 + e1
+)
+
+
 def random_singular(rng: random.Random) -> Multivector:
-    # P is multiplicative, so multiplying a singular seed by anything stays
-    # singular; both one-sided factors appear in the wild, use both.
-    seeds = (
-        Multivector((0, 1, 1, 0, 0, 0, 0, 0)),  # e1 + e2
-        Multivector((1, 1, 0, 0, 0, 0, 0, 0)),  # 1 + e1
-    )
     while True:
         y = random_multivector(rng, -3, 3)
-        a = seeds[rng.randrange(2)] * y if rng.randrange(2) else y * seeds[rng.randrange(2)]
+        a = (_SINGULAR_SEEDS[rng.randrange(2)] * y if rng.randrange(2)
+             else y * _SINGULAR_SEEDS[rng.randrange(2)])
         if not a.is_zero():
             return a
 

@@ -163,9 +163,12 @@ def test_singular_structure():
 
 
 def test_immutability_and_validation():
-    a = e1 + e2
-    with pytest.raises(AttributeError):
-        a._c = None
+    for name in ("coeffs", "_c", "weight"):  # the public name, the slot, a new name
+        with pytest.raises(AttributeError):
+            setattr(e1, name, (0.0,) * 8)
+        with pytest.raises(AttributeError):
+            delattr(e1, name)
+    assert e1 == Multivector.basis(1) and e1.coeffs is e1._c
     with pytest.raises(ValueError):
         Multivector((1, 2, 3))
     with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from cl12 import (
     witness_candidates,
 )
 from cl12 import oracle
-from support import random_invertible, random_multivector
+from support import count_makes, random_invertible, random_multivector
 
 
 def test_conjugate_by_examples():
@@ -107,6 +107,20 @@ def test_basis_pair_witness():
     assert r.witness == e2 + e6
     assert (e2 + e6) * e2 == e6 * (e2 + e6) == -e0 + e4
     assert not r.witness.is_singular()
+
+
+def test_is_similar_builds_only_its_witness(monkeypatch):
+    # the cim pair stays a pair of coefficient tuples and each candidate is
+    # built when the scan reaches it: a similar non-central pair whose first
+    # candidate is the witness builds one element, and a dissimilar pair none
+    pairs = [(e2, e6), (2 * e0 + e1 + e4, 2 * e0 + e1 - e4), (e1, e1 + e0), (e1, 2 * e1),
+             (e1 + e6, e1 - e6)]
+    made = count_makes(monkeypatch)
+    for a, b in pairs:
+        made.clear()
+        r = is_similar(a, b)
+        assert made == ([r.witness.coeffs] if r.similar else [])
+    assert [is_similar(a, b).similar for a, b in pairs] == [True, True, False, False, False]
 
 
 def test_mismatch_reasons():

@@ -28,6 +28,7 @@ from cl12 import MPKind, mp_inverse, oracle
 from cl12.cli import main
 from cl12.multivector import _reduced, _to_m2
 from support import (
+    count_makes,
     random_invertible,
     random_multivector,
     random_nonzero_mixed,
@@ -38,6 +39,19 @@ from support import (
 def _oracle_system(a, b, d):
     system = oracle.matmul(oracle.fleft_matrix(a), oracle.fright_matrix(b))
     return oracle.exact_solve(system, oracle.fvec(d))
+
+
+def test_solve_axb_on_invertible_operands_builds_only_its_solution(monkeypatch):
+    # a, b and d go to the 2x2 image and the particular solution comes back
+    # once; the homogeneous basis is empty
+    rng = random.Random(5)
+    cases = [(random_invertible(rng), random_invertible(rng), random_multivector(rng))
+             for _ in range(20)]
+    made = count_makes(monkeypatch)
+    for a, b, d in cases:
+        made.clear()
+        sol = solve_axb(a, b, d)
+        assert sol.dim == 0 and made == [sol.particular.coeffs]
 
 
 def test_identity_coefficients():
