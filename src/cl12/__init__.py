@@ -30,7 +30,7 @@ _HOMES = {
     "inverse": ("MPKind", "MPResult", "SingularElement", "inverse", "mp_inverse"),
     "matrep": ("K8", "S8", "left_matrix", "right_matrix", "vectorize"),
     "similarity": ("ConjugationMatrix", "SimilarityReason", "SimilarityResult", "conjugate_by",
-                   "conjugation_matrix", "is_similar", "witness_candidates"),
+                   "conjugation_matrix", "is_similar"),
     "solver": ("SolutionSet", "solve_ax", "solve_axb", "solve_xb"),
 }
 _EAGER = ("multivector", "inverse")

@@ -14,8 +14,8 @@ are coefficients of a with a sign, and ``det`` is the exact determinant
 of L(a), taken in the oracle and rounded once.
 
 Exit codes: 0 success, 1 domain error (singular input to inv(),
-unsolvable system under --strict, failed verification, no witness
-candidate invertible within --tol that meets q*a = b*q to that
+unsolvable system under --strict, failed verification, a similarity
+witness that is not invertible within --tol or misses q*a = b*q to that
 tolerance, a value that leaves the double range while the command
 runs), 2 parse or usage error (a literal number that
 is not a finite double, such as ``1e+999`` or a JSON ``Infinity``, is a

@@ -31,11 +31,13 @@ involutions to each coefficient they negate; no result holds -0.0.
 So every operation builds its result with ``_make(c)``, from a tuple of
 eight floats that holds no -0.0.  ``_make`` skips the constructor's
 ``float()`` and ``+ 0.0`` normalization and checks only finiteness (a
-product or a scaling can overflow), once, in ``_finite``, the check
-``Multivector(coeffs)`` shares; it allocates through ``object.__new__`` and
-fills the ``_c`` slot through the slot's own ``__set__``, so no ``__init__``
-runs.  ``coeffs`` is that slot under a public name, so reading it is a
-plain slot read.  An element refuses to set or delete any attribute.
+product or a scaling can overflow), once, in ``_finite``; it allocates
+through ``object.__new__`` and fills the ``_c`` slot through the slot's own
+``__set__``.  The constructor ``Multivector(coeffs)`` is a ``__new__`` that
+normalizes, checks the length and ends in ``_make``; there is no
+``__init__``, so nothing can fill the slot of an existing element again.
+``coeffs`` is that slot under a public name, so reading it is a plain slot
+read.  An element refuses to set or delete any attribute.
 
 The algebra is the algebra M2(C) of 2x2 complex matrices.  The map
 
@@ -167,11 +169,11 @@ class Multivector:
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: Iterable[float]):
+    def __new__(cls, coeffs: Iterable[float]) -> "Multivector":
         c = tuple([float(x) + 0.0 for x in coeffs])  # +0.0 normalizes -0.0
         if len(c) != 8:
             raise ValueError(f"expected 8 coefficients, got {len(c)}")
-        _set_c(self, _finite(c))
+        return _make(c)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
@@ -420,9 +422,10 @@ def _reduced(a: Multivector) -> tuple[Multivector, int, float]:
     return r, e, sum(map(mul, r._c, r._c))
 
 
-def _to_m2(a: Multivector) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """The 2x2 complex image of ``a`` (the map in the module docstring), by rows."""
-    c0, c1, c2, c3, c4, c5, c6, c7 = a._c
+def _to_m2(c: tuple[float, ...]) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The 2x2 complex image (the map in the module docstring), by rows, of
+    the element with coefficients ``c``."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
     return (
         (complex(c0 + c1, -(c6 + c7)), complex(c4 + c5, c2 + c3)),
         (complex(c5 - c4, c2 - c3), complex(c0 - c1, c6 - c7)),

@@ -3,51 +3,40 @@
 Two elements are similar when q*a = b*q for some invertible q.  Central
 elements (the span of 1 and e7) are only similar to themselves; a central
 and a non-central element are never similar, since conjugation fixes the
-central part.  For two non-central elements the decision reduces to three
-invariants: the central parts, N and T must agree.
+central part.  The rest is decided on the 2x2 complex images A and B of
+:mod:`cl12.multivector`, under which e7 -> -i and det = N - 2T*i: two
+non-scalar 2x2 matrices are similar exactly when their traces and dets
+agree.  Write A = alpha*I + U with alpha = c0 - c7*i and U, the image of
+cim(a), traceless; the trace is 2*alpha, so the paper's three invariants,
+the central part, N and T, are the trace and the real and imaginary parts
+of the det.
 
-When they do, u = cim(a) and v = cim(b) have equal central squares, so
-every q = v*p + p*u solves q*a = b*q.  The witness is the first
-invertible candidate with p = e0, e1, e2, e3, and one of them always is.
-With p = e_t, candidate t is a signed permutation of the coefficients:
-its coefficient k is +-v_(k^t) +- u_(k^t), signs from ``MUL_SIGN``, so
-it takes no product.
+The witness comes from a cyclic vector.  A non-scalar 2x2 matrix has at
+most two eigenlines, so some v is no eigenvector of U and K_A = [v, U v]
+is invertible; U^2 = -det(U) I (Cayley-Hamilton, tr U = 0) gives
+U K_A = K_A C_U with C_U = [[0, -det U], [1, 0]].  With w and K_B = [w, V w]
+likewise for V, the image of cim(b), Q = K_B adj(K_A) satisfies
+Q U - V Q = K_B (C_U - C_V) adj(K_A), which vanishes when det U = det V.
+v is one of the six eigenvectors e1, e2, e1 +- e2, e1 +- i*e2 of the Pauli
+matrices: of the pair that belongs to U's smallest Pauli coefficient, the
+one with the larger |det K_A|, which is then at least |v|^2 |U|_F / sqrt(3).
+Scaling the second columns by a common power of two, to balance them,
+would multiply Q by that power and change nothing else, so Q is taken as
+it is: degree 1 in the pair, scaling with it by powers of two bit for bit.
 
-* Cl(1,2) is M2(C) under the map stated in :mod:`cl12.multivector`,
-  with e7 -> -i and P(x) = |det x|^2; e0..e3 are a C-basis, orthogonal
-  for the trace form.  p = e_t*e7 = +-e_(t^7) only
-  multiplies candidate t by the central unit e7, and P(x*e7) = P(x), so
-  e4..e7 add nothing.
-* u and v are nonzero and traceless.  If u^2 = v^2 = 0, u = x1 y1^T and
-  v = x2 y2^T with y_k = m_k J x_k (J the 2x2 rotation), and
-  det(v p + p u) = m1 m2 (x2^T J p x1)^2 vanishes on one hyperplane,
-  which cannot hold a whole basis.
-* Else u and v have eigenvalues +-s, s != 0, and in their eigenbases the
-  candidate is diag(2s p11, -2s p22), singular iff tr(p s_k r_k^T)
-  = 0 for k = 1 or 2 (s_k eigenvectors of u, r_k left ones of v).  Such
-  a rank-one hyperplane holds at most two basis elements (three would
-  make s_k r_k^T a multiple of the fourth, which is invertible), so all
-  four singular needs a split {1, w} | {g, g w} with g w = -w g.  The
-  two rank-one forms are then multiples of 1 + l w and g (1 +- l w),
-  which share an image or a kernel: the eigenvector matrices would be
-  singular.
-
-In floats the invariants agree only to ``tol``, so u^2 - v^2 need not
-vanish, and candidate t leaves the residual q*a - b*q = (cre(a) -
-cre(b))*q + (u^2 - v^2)*e_t.  A candidate that cancels to noise is then
-invertible and still no witness.  So the witness is the first candidate
-that is not ``is_singular`` and whose residual is at most 8*tol*|q|*scale,
-bounded without a product: u^2 = -(N(u) + 2T(u) e7), so the residual is
-at most hypot(dN, 2dT) + (|dc0| + |dc7|)*|q|, with dN = N(u) - N(v),
-dT = T(u) - T(v) and dc0, dc7 the differences of a's and b's
-coefficients 0 and 7.
+In floats the invariants agree only to ``tol``.  C_U - C_V has the one
+entry -(det U - det V), so Q A - B Q = (alpha_a - alpha_b) Q +
+(det U - det V) w (v1, -v0)^T exactly, and as the coefficient norm is the
+Frobenius norm over sqrt(2),
+|q*a - b*q| <= |alpha_a - alpha_b| |q| + |det U - det V| |v| |w| / sqrt(2).
+The witness is returned when that bound is at most 8*tol*|q|*scale and q
+is not ``is_singular``; otherwise ``is_similar`` raises
+``SingularElement``.  That is forced when the norms of L(a) and L(b)
+differ by a factor above 2 / sqrt(tol): b = q a q^-1 makes cond2(L(q)) at
+least that factor for every witness q, and P / s^2 <= 4 / cond2^2 <= tol.
+An example is e1 + e2 and 1e-5 * (e1 + e2), two similar nilpotents.
 In floats every comparison is relative to the pair's scale, so verdicts
 do not change when both elements are scaled by a power of two.
-``is_similar`` raises ``SingularElement`` when no candidate passes both
-tests.  That is forced when the norms of L(a) and L(b) differ
-by a factor above 2 / sqrt(tol): b = q a q^-1 makes cond2(L(q)) at least
-that factor for every witness q, and P / s^2 <= 4 / cond2^2 <= tol.  An
-example is e1 + e2 and 1e-5 * (e1 + e2), two similar nilpotents.
 """
 
 from __future__ import annotations
@@ -58,11 +47,11 @@ from operator import sub
 from typing import NamedTuple
 
 from .inverse import SingularElement, inverse
-from .multivector import (BASIS, DEFAULT_TOL, MUL_SIGN, Multivector, _check_tol, _is_singular,
-                          _make, _ntp, _reduced, _scaled, _within, e0)
+from .multivector import (BASIS, DEFAULT_TOL, Multivector, _S_HIGH, _S_LOW, _check_tol, _from_m2,
+                          _is_singular, _ntp, _reduced, _scaled, _to_m2, _within, e0)
 
 __all__ = ["SimilarityReason", "SimilarityResult", "ConjugationMatrix", "conjugate_by",
-           "conjugation_matrix", "is_similar", "witness_candidates"]
+           "conjugation_matrix", "is_similar"]
 
 
 class SimilarityReason(enum.Enum):
@@ -109,30 +98,28 @@ def conjugation_matrix(q: Multivector, tol: float = DEFAULT_TOL) -> ConjugationM
     return ConjugationMatrix(full, tuple(row[1:7] for row in full[1:7]))
 
 
-# Candidate t, cb*e_t + e_t*ca, as a signed permutation: coefficient k is
-# MUL_SIGN[j][t]*cb_j + MUL_SIGN[t][j]*ca_j + 0.0 with j = k^t, which is
-# bit-identical to the two products and the sum (each product has one
-# nonzero term per coefficient, and +-0.0 terms change no sum).
-_CANDIDATE_TERMS = tuple(
-    tuple((k ^ t, float(MUL_SIGN[k ^ t][t]), float(MUL_SIGN[t][k ^ t])) for k in range(8))
-    for t in range(4)
-)
+_ROOT2 = math.sqrt(2.0)
 
 
-def _candidates(a: tuple[float, ...], b: tuple[float, ...]):
-    """The candidates of :func:`witness_candidates` from the coefficients
-    ``a`` of cim(a) and ``b`` of cim(b), each built when it is reached."""
-    for terms in _CANDIDATE_TERMS:
-        yield _make(tuple([sb * b[j] + sa * a[j] + 0.0 for j, sb, sa in terms]))
-
-
-def witness_candidates(a: Multivector, b: Multivector) -> list[Multivector]:
-    """The four witness candidates for q*a = b*q, in scan order.
-
-    Candidate t is cim(b)*e_t + e_t*cim(a) for t = 0..3; this order of the
-    factors is what makes q multiply a from the left and b from the right.
-    """
-    return list(_candidates(a.cim().coeffs, b.cim().coeffs))
+def _cyclic(u00: complex, u01: complex, u10: complex):
+    """(v0, v1, |v|, U v) for the cyclic vector v of U = [[u00, u01], [u10, -u00]]
+    (module docstring).  U = (s X + r/i Y + t Z) / 2 in the Pauli matrices,
+    and det [v, U v] is u10 or -u01 for v = e1 or e2 (eigenvectors of Z),
+    r -+ t for e1 +- e2 (of X) and s -+ i t for e1 +- i e2 (of Y)."""
+    r, s, t = u10 - u01, u10 + u01, u00 + u00
+    x, y, z = abs(s), abs(r), abs(t)  # twice the Pauli coefficients' moduli
+    if z <= x and z <= y:
+        if abs(u10) >= abs(u01):
+            return 1.0, 0j, 1.0, u00, u10
+        return 0j, 1.0, 1.0, u01, -u00
+    if x <= y:
+        if abs(r - t) >= abs(r + t):
+            return 1.0, 1.0, _ROOT2, u00 + u01, u10 - u00
+        return 1.0, -1.0, _ROOT2, u00 - u01, u10 + u00
+    it = 1j * t
+    if abs(s - it) >= abs(s + it):
+        return 1.0, 1j, _ROOT2, u00 + 1j * u01, u10 - 1j * u00
+    return 1.0, -1j, _ROOT2, u00 - 1j * u01, u10 + 1j * u00
 
 
 def _reduced_pair(a: Multivector, b: Multivector) -> tuple[Multivector, Multivector, int, float, float]:
@@ -143,6 +130,9 @@ def _reduced_pair(a: Multivector, b: Multivector) -> tuple[Multivector, Multivec
     the pair overflows or underflows.
     """
     a_norm, b_norm = a.norm(), b.norm()
+    big = max(a_norm, b_norm)
+    if _S_LOW <= big * big <= _S_HIGH:  # _reduced's window, read off the norm
+        return a, b, 0, a_norm, b_norm
     _, e, _ = _reduced(a if a_norm >= b_norm else b)
     if e:
         a, b = _scaled(a, -e), _scaled(b, -e)
@@ -154,53 +144,54 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
     """Decide similarity and build an invertible witness q with q*a = b*q.
 
     Comparisons are relative to the larger norm ``scale``, to the degree
-    of each invariant: ``scale`` for the central part, ``scale^2`` for N
-    and T.  The witness is e0 when the imaginary parts agree, else the
-    first of :func:`witness_candidates` that is not ``is_singular(tol)``
-    and satisfies |q*a - b*q| <= 8*tol*|q|*scale; raises SingularElement
-    when there is none.
+    of each invariant: ``scale`` for the central part (the trace),
+    ``scale^2`` for the real part of the det and ``2*scale^2`` for its
+    imaginary part, -2T.  The witness is e0 when the imaginary parts agree,
+    else the cyclic-vector witness of the module docstring when it is not
+    ``is_singular(tol)`` and |q*a - b*q| <= 8*tol*|q|*scale; raises
+    SingularElement when it fails either test.
     """
     _check_tol(tol)
     # decided on the reduced pair; the witness is scaled back
     a, b, e, a_norm, b_norm = _reduced_pair(a, b)
     scale = max(a_norm, b_norm)
-
-    def agree(x, y) -> bool:
-        return _within(max(map(abs, map(sub, x, y))), tol, scale)
+    ca, cb = a.coeffs, b.coeffs
+    ia, ib = ca[1:7], cb[1:7]
 
     # Multivector.is_central on the norms computed above
-    a_central = _within(max(map(abs, a.coeffs[1:7])), tol, a_norm)
-    b_central = _within(max(map(abs, b.coeffs[1:7])), tol, b_norm)
+    a_central = _within(max(map(abs, ia)), tol, a_norm)
+    b_central = _within(max(map(abs, ib)), tol, b_norm)
     if a_central and b_central:
-        if agree(a.coeffs, b.coeffs):
+        if _within(max(map(abs, map(sub, ca, cb))), tol, scale):
             return SimilarityResult(True, e0, SimilarityReason.CENTRAL_EQUAL)
         # central elements coincide with their own central part
         return SimilarityResult(False, None, SimilarityReason.CRE_MISMATCH)
     if a_central != b_central:
         return SimilarityResult(False, None, SimilarityReason.CENTRAL_UNEQUAL)
-
-    na, ta, _ = _ntp(a.coeffs)
-    nb, tb, _ = _ntp(b.coeffs)
-    if not agree(a.coeffs[::7], b.coeffs[::7]):
+    d0, d7 = ca[0] - cb[0], ca[7] - cb[7]  # the trace gap is 2 (d0 - d7 i)
+    if not _within(max(abs(d0), abs(d7)), tol, scale):
         return SimilarityResult(False, None, SimilarityReason.CRE_MISMATCH)
+
+    na, ta, _ = _ntp(ca)  # det A = N - 2T i, from the coefficients
+    nb, tb, _ = _ntp(cb)
     if not _within(na - nb, tol, scale * scale):
         return SimilarityResult(False, None, SimilarityReason.N_MISMATCH)
-    if not _within(ta - tb, tol, scale * scale):
+    if not _within(ta - tb, tol, scale * scale):  # as |Im det A - Im det B| <= 2 tol scale^2
         return SimilarityResult(False, None, SimilarityReason.T_MISMATCH)
-
-    ca = (0.0, *a.coeffs[1:7], 0.0)  # the coefficients of cim(a) and cim(b)
-    cb = (0.0, *b.coeffs[1:7], 0.0)
-    if agree(ca, cb):
+    if _within(max(map(abs, map(sub, ia, ib))), tol, scale):
         return SimilarityResult(True, e0, SimilarityReason.INVARIANTS_MATCH)
-    # the residual bound of the module docstring
-    nca, tca, _ = _ntp(ca)
-    ncb, tcb, _ = _ntp(cb)
-    square_gap = math.hypot(nca - ncb, 2.0 * (tca - tcb))
-    cre_gap = abs(a.coeffs[0] - b.coeffs[0]) + abs(a.coeffs[7] - b.coeffs[7])
-    for witness in _candidates(ca, cb):
-        q_norm = witness.norm()
-        if (_within(square_gap + cre_gap * q_norm, tol, 8.0 * q_norm * scale)
-                and not _is_singular(witness, tol)):
-            return SimilarityResult(True, _scaled(witness, e), SimilarityReason.INVARIANTS_MATCH)
-    raise SingularElement(f"no witness candidate is invertible within tol = {tol:g}"
+
+    (u00, u01), (u10, _) = _to_m2((0.0, *ia, 0.0))  # the images of cim(a) and cim(b)
+    (v00, v01), (v10, _) = _to_m2((0.0, *ib, 0.0))
+    det_gap = v00 * v00 + v01 * v10 - u00 * u00 - u01 * u10  # det U - det V
+    # Q = [w, V w] adj([v, U v]), and its residual bound (module docstring)
+    v0, v1, v_norm, uv0, uv1 = _cyclic(u00, u01, u10)
+    w0, w1, w_norm, vw0, vw1 = _cyclic(v00, v01, v10)
+    witness = _from_m2(((w0 * uv1 - vw0 * v1, vw0 * v0 - w0 * uv0),
+                        (w1 * uv1 - vw1 * v1, vw1 * v0 - w1 * uv0)))
+    q_norm = witness.norm()
+    residual = math.hypot(d0, d7) * q_norm + abs(det_gap) * (v_norm * w_norm / _ROOT2)
+    if _within(residual, tol, 8.0 * q_norm * scale) and not _is_singular(witness, tol):
+        return SimilarityResult(True, _scaled(witness, e), SimilarityReason.INVARIANTS_MATCH)
+    raise SingularElement(f"no witness is invertible within tol = {tol:g}"
                           " and meets |qa - bq| <= 8 tol |q| scale")

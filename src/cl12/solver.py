@@ -115,7 +115,7 @@ def solve_axb(a: Multivector, b: Multivector, d: Multivector,
     # no product below leaves the normal range and the verdict does not
     # depend on their scales; x scales back by 2^(ed - ea - eb).
     (a, ea, sa), (b, eb, sb), (d, ed, sd) = _reduced(a), _reduced(b), _reduced(d)
-    ma, mb, md = _to_m2(a), _to_m2(b), _to_m2(d)
+    ma, mb, md = _to_m2(a.coeffs), _to_m2(b.coeffs), _to_m2(d.coeffs)
     kind_a, pa, left = _image_pinv(ma, a.coeffs, sa, _check_tol(tol), False)
     kind_b, pb, right = _image_pinv(mb, b.coeffs, sb, tol, True)
     x = _m2_mul(_m2_mul(pa, md), pb)

@@ -32,7 +32,8 @@ on singular draws.  Conjugation fixes cre, as cre(ab) = cre(ba), and N and T,
 as conj reverses products and x conj(x) is central, so (q x q^-1)
 conj(q x q^-1) = x conj(x) (q conj(q)) (q^-1 conj(q^-1)) = x conj(x); in
 floats the row "conjugated pair classified with verified witness" passes
-only when cre, N and T of the pair agree within tol.  No suite computes the
+only when the traces and dets of the pair's 2x2 images, 2 (c0 - c7 i) and
+N - 2T i, agree within tol.  No suite computes the
 generic ``oracle.scaled_pinv``: the tier-1 tests check it against a
 Fraction reference and on Penrose's equations.
 """
@@ -176,7 +177,7 @@ def _table_facts(res: SuiteResult) -> None:
     # the 2x2 map: e0 to the identity, e1, e2 and e4 to anticommuting
     # matrices that square as the generators do, every other blade to the
     # product of its generators in index order, prime to the adjoint
-    m2 = [_to_m2(e) for e in BASIS]
+    m2 = [_to_m2(e.coeffs) for e in BASIS]
     gens = (m2[1], m2[2], m2[4])
     res.check(
         m2[0] == ((1, 0), (0, 1))
@@ -246,7 +247,7 @@ def _suite_matrix_rep(res: SuiteResult, trials: int, seed: int, tol: float) -> N
                   f"trial {n}: det = P^2 (det L={pol[-1]}, det R={det_r}, P^2={f.P * f.P:g})")
 
         # the 2x2 complex image; exact, as every entry is a Gaussian integer
-        ma = _to_m2(a)
+        ma = _to_m2(a.coeffs)
         res.check(_from_m2(ma) == a, f"trial {n}: 2x2 image round trip")
         det = ma[0][0] * ma[1][1] - ma[0][1] * ma[1][0]
         res.check(det == complex(f.N, -2.0 * f.T) and f.P == det.real ** 2 + det.imag ** 2,

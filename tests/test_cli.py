@@ -236,7 +236,7 @@ def test_similar_witness(capsys):
     lines = out.splitlines()
     assert lines[0] == "similar: yes"
     assert lines[1] == "reason: InvariantsMatch"
-    assert lines[2] == "witness: e2 + e6"
+    assert lines[2] == "witness: -e3 - e7"
 
 
 def test_similar_central_mismatch(capsys):
@@ -257,7 +257,7 @@ def test_similar_json(capsys):
     payload = json.loads(out)
     assert payload["similar"] is True
     assert payload["reason"] == "InvariantsMatch"
-    assert payload["witness"]["coeffs"] == [0, 0, 1, 0, 0, 0, 1, 0]
+    assert payload["witness"]["coeffs"] == [0, 0, 0, -1, 0, 0, 0, -1]
 
 
 def test_similar_tiny_pair_scales_the_witness(capsys):
@@ -265,32 +265,49 @@ def test_similar_tiny_pair_scales_the_witness(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["similar"] is True
-    assert payload["witness"]["coeffs"] == [0, 0, 1e-6, 0, 0, 0, 1e-6, 0]
+    assert payload["witness"]["coeffs"] == [0, 0, 0, -1e-6, 0, 0, 0, -1e-6]
 
 
 def test_similar_huge_pair_checks_its_witness_in_range(capsys):
     # |q*a - b*q| is checked on the reduced pair, so 1e300 does not overflow it
     code, out, err = run(capsys, "similar", "1e+300e2", "1e+300e6")
     assert (code, err) == (0, "")
-    assert out.splitlines()[2:] == ["witness: 1e+300 e2 + 1e+300 e6", "witness residual: 0"]
+    assert out.splitlines()[2:] == ["witness: -1e+300 e3 - 1e+300 e7", "witness residual: 0"]
 
 
 def test_similar_near_pair_finds_a_witness_that_meets_its_equation(capsys):
-    # candidate 0 cancels to about 2e-10 and is invertible, but misses
-    # q*a = b*q by 0.4 |q| scale; the library passes it over
+    # cim(b) + cim(a) cancels to about 2e-10 and is invertible, but misses
+    # q*a = b*q by 0.4 |q| scale; the library's witness meets it
     code, out, err = run(capsys, "similar", "2 + e1", "2 - 0.9999999999 e1 + 2e-10 e2")
     assert (code, err) == (0, "")
     assert out.splitlines()[:2] == ["similar: yes", "reason: InvariantsMatch"]
 
 
 def test_similar_without_invertible_candidate_is_domain_error(capsys):
-    # nilpotents of norms 1 and 1e-5: every witness candidate is singular
-    # within tol; the error names the tolerance and no exception escapes main
+    # nilpotents of norms 1 and 1e-5: every witness is singular within tol;
+    # the error names the tolerance and no exception escapes main
     code, out, err = run(capsys, "similar", "e1+e2", "0.00001e1+0.00001e2")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: no witness candidate is invertible within tol = 1e-09")
+    assert err.startswith("error: no witness is invertible within tol = 1e-09")
     assert "Traceback" not in err
+
+
+def test_readme_witnesses_are_what_the_code_prints(capsys):
+    # the library line's comment starts with the witness it prints, and
+    # each `cl12 similar` line's comment is `witness <what the CLI prints>`
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    names = {name: getattr(cl12, name) for name in cl12.__all__}
+    shown = [line.split("#", 1) for line in readme
+             if line.startswith(("print(is_similar(", "cl12 similar ")) and "witness" in line]
+    assert len(shown) == 2
+    for code, comment in shown:
+        if code.startswith("print("):
+            printed = str(eval(code.strip()[len("print("):-1], names))
+            assert comment.split(",")[0].strip() == printed
+        else:
+            _, out, _ = run(capsys, *code.split()[1:])
+            assert f"witness: {comment.strip().removeprefix('witness ')}" in out.splitlines()
 
 
 def test_similar_has_no_seed_option(capsys):

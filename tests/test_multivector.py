@@ -179,6 +179,14 @@ def test_immutability_and_validation():
         Multivector.basis(8)
 
 
+def test_constructor_cannot_refill_an_existing_element():
+    # the constructor is __new__ alone, so running __init__ again on an
+    # element leaves it as it was
+    x = Multivector([1] * 8)
+    x.__init__([0] * 8)
+    assert x.coeffs == (1.0,) * 8
+
+
 def test_division_by_zero_is_a_value_error():
     # like every other non-finite result; never a bare ZeroDivisionError
     for zero in (0, 0.0, -0.0):

@@ -24,6 +24,7 @@ from cl12 import (
     e3,
     e4,
     e6,
+    e7,
     eigenvalues,
     inverse,
     is_similar,
@@ -63,7 +64,7 @@ def test_scale_repros():
     assert inverse(1e80 * base).isclose(inverse(base) / 1e80, 1e-15)
     assert mp_inverse(1e-100 * base).kind is MPKind.INVERTIBLE
     r = is_similar(1e-6 * e2, 1e-6 * e6)
-    assert r.similar and r.witness == 1e-6 * (e2 + e6)
+    assert r.similar and r.witness == 1e-6 * (-e3 - e7)
     assert eigenvalues(1e300 * e1).values == (-1e300, -1e300, 1e300, 1e300)
     assert eigenvalues(1e300 * (e1 + e2)).values == (0, 0, 0, 0)  # nilpotent
     # q * x overflows, but q x q^-1 does not change when q is scaled
@@ -119,8 +120,8 @@ def test_results_beyond_the_double_range_raise_value_error():
     big = 1.5e308 * base
     assert mp_inverse(big).kind is MPKind.INVERTIBLE
     assert is_similar(big, big).reason is SimilarityReason.INVARIANTS_MATCH
-    with pytest.raises(ValueError):
-        is_similar(big, 1.5e308 * (e0 + e4 + e6))  # the witness e2 + 2 e4 + e6 overflows
+    with pytest.raises(ValueError):  # the witness -2 + 2 e2 overflows
+        is_similar(1.5e308 * (e0 + e1 + e2), 1.5e308 * (e0 + e2 + e3))
 
 
 def _system(rng):
@@ -234,4 +235,4 @@ def test_large_tolerance_keeps_units_invertible():
         a = random_nonzero_mixed(rng)
         r = mp_inverse(a, 0.9)
         assert (r.kind is MPKind.SINGULAR_NONZERO) == (r.condition <= 0.9)
-    assert is_similar(e2, e6, 0.9).witness == e2 + e6
+    assert is_similar(e2, e6, 0.9).witness == -e3 - e7
