@@ -308,7 +308,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_similar(args) -> int:
-    from .similarity import _reduced_pair, is_similar
+    from .similarity import _off_window, _reduced_pair, is_similar
 
     a = parse_multivector(args.a, args.tol)
     b = parse_multivector(args.b, args.tol)
@@ -325,7 +325,10 @@ def _cmd_similar(args) -> int:
     if verdict.witness is not None:
         # computed on the pair reduced as is_similar reduces it and on the
         # witness reduced on its own, so no product leaves the double range
-        a, b, e, _, _ = _reduced_pair(a, b)
+        a_norm, b_norm = a.norm(), b.norm()
+        e = 0
+        if _off_window(max(a_norm, b_norm)):
+            a, b, e, _, _ = _reduced_pair(a, b, a_norm, b_norm)
         q, eq, _ = _reduced(verdict.witness)
         residual = _ldexp((q * a - b * q).norm(), e + eq)  # back to the input's scale
         print(f"witness: {format_multivector(verdict.witness)}")

@@ -432,6 +432,14 @@ def _to_m2(c: tuple[float, ...]) -> tuple[tuple[complex, complex], tuple[complex
     )
 
 
+def _cim_m2(c: tuple[float, ...]) -> tuple[complex, complex, complex]:
+    """(m00, m01, m10) of ``_to_m2`` of cim of the element with coefficients
+    ``c``, read off ``c`` itself; the image is traceless, so m11 = -m00.
+    As ``c`` holds no -0.0, each entry is bit for bit ``_to_m2``'s."""
+    _, c1, c2, c3, c4, c5, c6, _ = c
+    return complex(c1, -c6), complex(c4 + c5, c2 + c3), complex(c5 - c4, c2 - c3)
+
+
 def _from_m2(m) -> Multivector:
     """The element whose 2x2 image is ``m`` (rows of complex numbers)."""
     (m00, m01), (m10, m11) = m

@@ -36,19 +36,23 @@ differ by a factor above 2 / sqrt(tol): b = q a q^-1 makes cond2(L(q)) at
 least that factor for every witness q, and P / s^2 <= 4 / cond2^2 <= tol.
 An example is e1 + e2 and 1e-5 * (e1 + e2), two similar nilpotents.
 In floats every comparison is relative to the pair's scale, so verdicts
-do not change when both elements are scaled by a power of two.
+do not change when both elements are scaled by a power of two.  The pair
+is rescaled only when its larger norm lies outside ``_reduced``'s window:
+``_off_window`` is that test, written once, and ``_reduced_pair`` the one
+rescale, which the CLI's witness residual shares; a desk pair is decided
+on its own coefficients.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from operator import sub
+from math import hypot
 from typing import NamedTuple
 
 from .inverse import SingularElement, inverse
-from .multivector import (BASIS, DEFAULT_TOL, Multivector, _S_HIGH, _S_LOW, _check_tol, _from_m2,
-                          _is_singular, _ntp, _reduced, _scaled, _to_m2, _within, e0)
+from .multivector import (BASIS, DEFAULT_TOL, Multivector, _S_HIGH, _S_LOW, _check_tol, _cim_m2,
+                          _from_m2, _is_singular, _ntp, _reduced, _scaled, _within, e0)
 
 __all__ = ["SimilarityReason", "SimilarityResult", "ConjugationMatrix", "conjugate_by",
            "conjugation_matrix", "is_similar"]
@@ -122,22 +126,37 @@ def _cyclic(u00: complex, u01: complex, u10: complex):
     return 1.0, -1j, _ROOT2, u00 - 1j * u01, u10 + 1j * u00
 
 
-def _reduced_pair(a: Multivector, b: Multivector) -> tuple[Multivector, Multivector, int, float, float]:
-    """(a * 2^-e, b * 2^-e, e, and the norms of the two after scaling).
+def _off_window(scale: float) -> bool:
+    """True when a pair whose larger norm is ``scale`` lies outside
+    ``_reduced``'s window, read off the norm: only such a pair is rescaled."""
+    return not _S_LOW <= scale * scale <= _S_HIGH
 
-    A pair far from norm 1 is scaled by the power of two that reduces its
-    larger element, so neither the quadratic invariants nor a product of
-    the pair overflows or underflows.
+
+def _reduced_pair(a: Multivector, b: Multivector, a_norm: float,
+                  b_norm: float) -> tuple[Multivector, Multivector, int, float, float]:
+    """(a * 2^-e, b * 2^-e, e, and the norms of the two after scaling), for
+    a pair ``_off_window`` holds outside the window, given its norms.
+
+    The pair is scaled by the power of two that reduces its larger element,
+    so neither the quadratic invariants nor a product of the pair
+    overflows or underflows.
     """
-    a_norm, b_norm = a.norm(), b.norm()
-    big = max(a_norm, b_norm)
-    if _S_LOW <= big * big <= _S_HIGH:  # _reduced's window, read off the norm
-        return a, b, 0, a_norm, b_norm
     _, e, _ = _reduced(a if a_norm >= b_norm else b)
     if e:
         a, b = _scaled(a, -e), _scaled(b, -e)
         a_norm, b_norm = a.norm(), b.norm()
     return a, b, e, a_norm, b_norm
+
+
+# The outcomes that carry no witness but e0 or none are built once.
+_CENTRAL_EQUAL = SimilarityResult(True, e0, SimilarityReason.CENTRAL_EQUAL)
+_CENTRAL_UNEQUAL = SimilarityResult(False, None, SimilarityReason.CENTRAL_UNEQUAL)
+_CRE_MISMATCH = SimilarityResult(False, None, SimilarityReason.CRE_MISMATCH)
+_N_MISMATCH = SimilarityResult(False, None, SimilarityReason.N_MISMATCH)
+_T_MISMATCH = SimilarityResult(False, None, SimilarityReason.T_MISMATCH)
+_CIM_EQUAL = SimilarityResult(True, e0, SimilarityReason.INVARIANTS_MATCH)
+_INVARIANTS_MATCH = SimilarityReason.INVARIANTS_MATCH
+_new = tuple.__new__
 
 
 def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> SimilarityResult:
@@ -152,46 +171,53 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
     SingularElement when it fails either test.
     """
     _check_tol(tol)
-    # decided on the reduced pair; the witness is scaled back
-    a, b, e, a_norm, b_norm = _reduced_pair(a, b)
-    scale = max(a_norm, b_norm)
     ca, cb = a.coeffs, b.coeffs
-    ia, ib = ca[1:7], cb[1:7]
+    a_norm, b_norm = hypot(*ca), hypot(*cb)  # Multivector.norm
+    scale = max(a_norm, b_norm)
+    e = 0
+    if _off_window(scale):  # decided on the reduced pair; the witness is scaled back
+        a, b, e, a_norm, b_norm = _reduced_pair(a, b, a_norm, b_norm)
+        ca, cb = a.coeffs, b.coeffs
+        scale = max(a_norm, b_norm)
+    a0, a1, a2, a3, a4, a5, a6, a7 = ca
+    b0, b1, b2, b3, b4, b5, b6, b7 = cb
 
     # Multivector.is_central on the norms computed above
-    a_central = _within(max(map(abs, ia)), tol, a_norm)
-    b_central = _within(max(map(abs, ib)), tol, b_norm)
+    a_central = _within(max(abs(a1), abs(a2), abs(a3), abs(a4), abs(a5), abs(a6)), tol, a_norm)
+    b_central = _within(max(abs(b1), abs(b2), abs(b3), abs(b4), abs(b5), abs(b6)), tol, b_norm)
+    d0, d7 = a0 - b0, a7 - b7  # the trace gap is 2 (d0 - d7 i)
     if a_central and b_central:
-        if _within(max(map(abs, map(sub, ca, cb))), tol, scale):
-            return SimilarityResult(True, e0, SimilarityReason.CENTRAL_EQUAL)
+        if _within(max(abs(d0), abs(a1 - b1), abs(a2 - b2), abs(a3 - b3), abs(a4 - b4),
+                       abs(a5 - b5), abs(a6 - b6), abs(d7)), tol, scale):
+            return _CENTRAL_EQUAL
         # central elements coincide with their own central part
-        return SimilarityResult(False, None, SimilarityReason.CRE_MISMATCH)
+        return _CRE_MISMATCH
     if a_central != b_central:
-        return SimilarityResult(False, None, SimilarityReason.CENTRAL_UNEQUAL)
-    d0, d7 = ca[0] - cb[0], ca[7] - cb[7]  # the trace gap is 2 (d0 - d7 i)
+        return _CENTRAL_UNEQUAL
     if not _within(max(abs(d0), abs(d7)), tol, scale):
-        return SimilarityResult(False, None, SimilarityReason.CRE_MISMATCH)
+        return _CRE_MISMATCH
 
     na, ta, _ = _ntp(ca)  # det A = N - 2T i, from the coefficients
     nb, tb, _ = _ntp(cb)
     if not _within(na - nb, tol, scale * scale):
-        return SimilarityResult(False, None, SimilarityReason.N_MISMATCH)
+        return _N_MISMATCH
     if not _within(ta - tb, tol, scale * scale):  # as |Im det A - Im det B| <= 2 tol scale^2
-        return SimilarityResult(False, None, SimilarityReason.T_MISMATCH)
-    if _within(max(map(abs, map(sub, ia, ib))), tol, scale):
-        return SimilarityResult(True, e0, SimilarityReason.INVARIANTS_MATCH)
+        return _T_MISMATCH
+    if _within(max(abs(a1 - b1), abs(a2 - b2), abs(a3 - b3), abs(a4 - b4), abs(a5 - b5),
+                   abs(a6 - b6)), tol, scale):
+        return _CIM_EQUAL
 
-    (u00, u01), (u10, _) = _to_m2((0.0, *ia, 0.0))  # the images of cim(a) and cim(b)
-    (v00, v01), (v10, _) = _to_m2((0.0, *ib, 0.0))
+    u00, u01, u10 = _cim_m2(ca)  # the images U and V of cim(a) and cim(b)
+    v00, v01, v10 = _cim_m2(cb)
     det_gap = v00 * v00 + v01 * v10 - u00 * u00 - u01 * u10  # det U - det V
     # Q = [w, V w] adj([v, U v]), and its residual bound (module docstring)
     v0, v1, v_norm, uv0, uv1 = _cyclic(u00, u01, u10)
     w0, w1, w_norm, vw0, vw1 = _cyclic(v00, v01, v10)
     witness = _from_m2(((w0 * uv1 - vw0 * v1, vw0 * v0 - w0 * uv0),
                         (w1 * uv1 - vw1 * v1, vw1 * v0 - w1 * uv0)))
-    q_norm = witness.norm()
-    residual = math.hypot(d0, d7) * q_norm + abs(det_gap) * (v_norm * w_norm / _ROOT2)
+    q_norm = hypot(*witness.coeffs)
+    residual = hypot(d0, d7) * q_norm + abs(det_gap) * (v_norm * w_norm / _ROOT2)
     if _within(residual, tol, 8.0 * q_norm * scale) and not _is_singular(witness, tol):
-        return SimilarityResult(True, _scaled(witness, e), SimilarityReason.INVARIANTS_MATCH)
+        return _new(SimilarityResult, (True, _scaled(witness, e), _INVARIANTS_MATCH))
     raise SingularElement(f"no witness is invertible within tol = {tol:g}"
                           " and meets |qa - bq| <= 8 tol |q| scale")

@@ -4,7 +4,7 @@ import sys
 
 import hypothesis.strategies as st
 
-from cl12 import Multivector, multivector, similarity, solver  # noqa: F401 (bind _make)
+from cl12 import Multivector, multivector, similarity, solver  # noqa: F401 (loaded to count)
 from cl12.verify import random_invertible, random_multivector, random_singular  # noqa: F401
 
 coefficients = st.integers(min_value=-5, max_value=5)
@@ -22,16 +22,20 @@ def random_nonzero_mixed(rng):
             return a
 
 
-def count_makes(monkeypatch):
-    """A list that gains the coefficients of every element ``_make`` builds,
-    through each ``cl12`` module that binds it, until the test ends."""
-    made, make = [], multivector._make
+def count_calls(monkeypatch, name):
+    """A list that gains the argument tuple of every call of the ``cl12``
+    function ``name``, through each ``cl12`` module that binds it, until
+    the test ends."""
+    modules = [module for key, module in list(sys.modules.items()) if key.startswith("cl12.")]
+    original = next(getattr(module, name) for module in modules
+                    if getattr(getattr(module, name, None), "__module__", None) == module.__name__)
+    calls = []
 
-    def counted(c):
-        made.append(c)
-        return make(c)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cl12.") and getattr(module, "_make", None) is make:
-            monkeypatch.setattr(module, "_make", counted)
-    return made
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls

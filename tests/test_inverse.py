@@ -1,5 +1,4 @@
 import cmath
-import importlib
 import math
 import operator
 import random
@@ -20,9 +19,8 @@ from cl12 import (
     inverse,
     mp_inverse,
 )
-from cl12 import multivector
 from cl12.multivector import _ldexp, _reduced, _scaled, _within
-from support import random_invertible, random_nonzero_mixed, random_singular
+from support import count_calls, random_invertible, random_nonzero_mixed, random_singular
 
 
 def test_inverse_examples():
@@ -219,15 +217,7 @@ def test_closed_forms_bit_identical_to_reference():
 def test_mp_inverse_evaluates_functionals_once(monkeypatch):
     # N, T and P come from the one kernel _ntp, once per mp_inverse,
     # inverse and is_singular call
-    calls = []
-    ntp = multivector._ntp
-
-    def counted(c):
-        calls.append(c)
-        return ntp(c)
-
-    monkeypatch.setattr(multivector, "_ntp", counted)
-    monkeypatch.setattr(importlib.import_module("cl12.inverse"), "_ntp", counted)
+    calls = count_calls(monkeypatch, "_ntp")
     for f, a in ((mp_inverse, e0 + e2 + e4), (mp_inverse, e1 + e2), (mp_inverse, 3.0 * e4),
                  (inverse, e0 + e2 + e4), (Multivector.is_singular, e1 + e2)):
         calls.clear()

@@ -29,7 +29,7 @@ from cl12 import (
     oracle,
     solve_axb,
 )
-from cl12.multivector import MUL_SIGN
+from cl12.multivector import MUL_SIGN, _cim_m2, _scaled, _to_m2
 from support import multivectors, random_singular, small_scalars
 
 
@@ -296,3 +296,15 @@ def test_product_overflow_raises():
 
 def test_constructor_normalizes_negative_zero():
     assert all(math.copysign(1.0, x) == 1.0 for x in Multivector((-0.0,) * 8).coeffs)
+
+
+def test_cim_image_is_the_2x2_image_of_cim_bit_for_bit():
+    # _cim_m2 reads U, the image of cim(a), off a's coefficients; it must be
+    # _to_m2 of cim(a) entry for entry, signed zeros included, at every scale
+    rng = random.Random(29)
+    for n in range(2000):
+        a = random_singular(rng) if n % 2 else Multivector([rng.randint(-5, 5) for _ in range(8)])
+        a = _scaled(a, rng.choice((0, 0, rng.randint(-1060, 1020))))
+        (m00, m01), (m10, m11) = _to_m2(a.cim().coeffs)
+        assert repr(_cim_m2(a.coeffs)) == repr((m00, m01, m10))
+        assert m11 == -m00

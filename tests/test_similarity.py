@@ -8,6 +8,7 @@ from cl12 import (
     BASIS,
     Multivector,
     SimilarityReason,
+    SimilarityResult,
     SingularElement,
     conjugate_by,
     conjugation_matrix,
@@ -25,7 +26,9 @@ from cl12 import (
     inverse,
 )
 from cl12 import oracle
-from support import count_makes, random_invertible, random_multivector
+from cl12.multivector import _S_HIGH, _S_LOW, _from_m2, _is_singular, _ntp, _reduced, _scaled, _to_m2
+from cl12.similarity import _ROOT2, _cyclic
+from support import count_calls, random_invertible, random_multivector, random_singular
 
 
 def test_conjugate_by_examples():
@@ -115,11 +118,11 @@ def test_is_similar_builds_only_its_witness(monkeypatch):
     # witness, and a dissimilar pair none
     pairs = [(e2, e6), (2 * e0 + e1 + e4, 2 * e0 + e1 - e4), (e1, e1 + e0), (e1, 2 * e1),
              (e1 + e6, e1 - e6)]
-    made = count_makes(monkeypatch)
+    made = count_calls(monkeypatch, "_make")
     for a, b in pairs:
         made.clear()
         r = is_similar(a, b)
-        assert made == ([r.witness.coeffs] if r.similar else [])
+        assert made == ([(r.witness.coeffs,)] if r.similar else [])
     assert [is_similar(a, b).similar for a, b in pairs] == [True, True, False, False, False]
 
 
@@ -237,3 +240,108 @@ def test_cyclic_vector_witness_is_exact():
             assert oracle.ffunctionals(w).P != 0
             exact += 1
     assert nilpotent >= 300 and exact >= 950
+
+
+def _ref_is_similar(a, b, tol=1e-9):
+    # is_similar as it read on slices, splatted cim tuples and one pair call
+    a_norm, b_norm = a.norm(), b.norm()
+    scale, e = max(a_norm, b_norm), 0
+    if not _S_LOW <= scale * scale <= _S_HIGH:
+        _, e, _ = _reduced(a if a_norm >= b_norm else b)
+        if e:
+            a, b = _scaled(a, -e), _scaled(b, -e)
+            a_norm, b_norm = a.norm(), b.norm()
+            scale = max(a_norm, b_norm)
+    ca, cb = a.coeffs, b.coeffs
+    ia, ib = ca[1:7], cb[1:7]
+    a_central = max(map(abs, ia)) <= tol * a_norm
+    b_central = max(map(abs, ib)) <= tol * b_norm
+    if a_central and b_central:
+        if max(abs(x - y) for x, y in zip(ca, cb)) <= tol * scale:
+            return SimilarityResult(True, e0, SimilarityReason.CENTRAL_EQUAL)
+        return SimilarityResult(False, None, SimilarityReason.CRE_MISMATCH)
+    if a_central != b_central:
+        return SimilarityResult(False, None, SimilarityReason.CENTRAL_UNEQUAL)
+    d0, d7 = ca[0] - cb[0], ca[7] - cb[7]
+    if not max(abs(d0), abs(d7)) <= tol * scale:
+        return SimilarityResult(False, None, SimilarityReason.CRE_MISMATCH)
+    (na, ta, _), (nb, tb, _) = _ntp(ca), _ntp(cb)
+    if not abs(na - nb) <= tol * (scale * scale):
+        return SimilarityResult(False, None, SimilarityReason.N_MISMATCH)
+    if not abs(ta - tb) <= tol * (scale * scale):
+        return SimilarityResult(False, None, SimilarityReason.T_MISMATCH)
+    if max(abs(x - y) for x, y in zip(ia, ib)) <= tol * scale:
+        return SimilarityResult(True, e0, SimilarityReason.INVARIANTS_MATCH)
+    (u00, u01), (u10, _) = _to_m2((0.0, *ia, 0.0))
+    (v00, v01), (v10, _) = _to_m2((0.0, *ib, 0.0))
+    det_gap = v00 * v00 + v01 * v10 - u00 * u00 - u01 * u10
+    v0, v1, v_norm, uv0, uv1 = _cyclic(u00, u01, u10)
+    w0, w1, w_norm, vw0, vw1 = _cyclic(v00, v01, v10)
+    witness = _from_m2(((w0 * uv1 - vw0 * v1, vw0 * v0 - w0 * uv0),
+                        (w1 * uv1 - vw1 * v1, vw1 * v0 - w1 * uv0)))
+    q_norm = witness.norm()
+    residual = math.hypot(d0, d7) * q_norm + abs(det_gap) * (v_norm * w_norm / _ROOT2)
+    if residual <= tol * (8.0 * q_norm * scale) and not _is_singular(witness, tol):
+        return SimilarityResult(True, _scaled(witness, e), SimilarityReason.INVARIANTS_MATCH)
+    raise SingularElement(f"no witness is invertible within tol = {tol:g}"
+                          " and meets |qa - bq| <= 8 tol |q| scale")
+
+
+def _pair_classes(rng, n):
+    # pair n of a cycle through conjugated pairs (half of them singular),
+    # partners with the central part bumped, near partners, nilpotents at
+    # a norm ratio near the 2/sqrt(tol) edge, central pairs, random
+    # partners and equal pairs
+    a = random_singular(rng) if n % 2 else random_multivector(rng)
+    kind = n % 7
+    if kind < 3:
+        c = list(conjugate_by(random_invertible(rng), a).coeffs)
+        if kind == 1:
+            c[0] += 1.0
+        elif kind == 2:
+            c[rng.randrange(8)] += rng.choice((1e-12, 1e-9, 3e-9, 1e-6))
+        return a, Multivector(c)
+    if kind == 3:
+        u = e1 + e2 if n % 3 else a
+        return u, rng.choice((1e-5, 1.4e-5, 1.6e-5, 3e-5)) * u
+    if kind == 4:
+        c0, c7 = rng.randint(-3, 3), rng.randint(-3, 3)
+        x = Multivector([c0, 0, 0, 0, 0, 0, 0, c7])
+        y = Multivector([c0 + rng.choice((0, 1e-10, 1)), 0, rng.choice((0, 1e-12, 1)), 0, 0, 0, 0, c7])
+        return (x, y) if n % 2 else (y, x)
+    return a, random_multivector(rng) if kind == 5 else a
+
+
+def _outcome(f, a, b, tol):
+    try:
+        return repr(f(a, b, tol))
+    except (SingularElement, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_is_similar_bit_identical_to_reference():
+    # verdict, reason, witness coefficients, raise and message, at desk
+    # scale, inside the window and outside it, at tol 0 to 0.9
+    rng = random.Random(97)
+    outcomes = set()
+    for n in range(350):
+        a, b = _pair_classes(rng, n)
+        for k in (0, rng.randint(-1040, 1040), rng.randint(-60, 60)):
+            try:
+                sa, sb = _scaled(a, k), _scaled(b, k)
+            except ValueError:
+                continue
+            for tol in (0.0, 1e-9, 1e-3, 0.5, 0.9):
+                got = _outcome(is_similar, sa, sb, tol)
+                assert got == _outcome(_ref_is_similar, sa, sb, tol), (a, b, k, tol)
+                outcomes.add(got[0] if isinstance(got, tuple) else got.split("reason=")[1])
+    assert len(outcomes) == 7  # the six reasons and the raise
+
+
+def test_only_a_pair_outside_the_window_is_rescaled(monkeypatch):
+    # a desk pair is decided as it is; a pair scaled far out is rescaled once
+    calls = count_calls(monkeypatch, "_reduced_pair")
+    for k, rescaled in ((0, 0), (-30, 0), (900, 1), (-900, 1)):
+        calls.clear()
+        r = is_similar(_scaled(e2, k), _scaled(e6, k))
+        assert r.witness == _scaled(-e3 - e7, k) and len(calls) == rescaled

@@ -26,7 +26,7 @@ from cl12 import MPKind, mp_inverse, oracle
 from cl12.cli import main
 from cl12.multivector import _reduced, _to_m2
 from support import (
-    count_makes,
+    count_calls,
     random_invertible,
     random_multivector,
     random_nonzero_mixed,
@@ -45,11 +45,11 @@ def test_solve_axb_on_invertible_operands_builds_only_its_solution(monkeypatch):
     rng = random.Random(5)
     cases = [(random_invertible(rng), random_invertible(rng), random_multivector(rng))
              for _ in range(20)]
-    made = count_makes(monkeypatch)
+    made = count_calls(monkeypatch, "_make")
     for a, b, d in cases:
         made.clear()
         sol = solve_axb(a, b, d)
-        assert sol.dim == 0 and made == [sol.particular.coeffs]
+        assert sol.dim == 0 and made == [(sol.particular.coeffs,)]
 
 
 def test_identity_coefficients():
