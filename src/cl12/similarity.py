@@ -148,7 +148,7 @@ def _reduced_pair(a: Multivector, b: Multivector, a_norm: float,
     return a, b, e, a_norm, b_norm
 
 
-# The outcomes that carry no witness but e0 or none are built once.
+# Results whose witness is e0 or None are immutable, so each is built once and shared.
 _CENTRAL_EQUAL = SimilarityResult(True, e0, SimilarityReason.CENTRAL_EQUAL)
 _CENTRAL_UNEQUAL = SimilarityResult(False, None, SimilarityReason.CENTRAL_UNEQUAL)
 _CRE_MISMATCH = SimilarityResult(False, None, SimilarityReason.CRE_MISMATCH)
