@@ -417,7 +417,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("eval", "solve", "similar", "rep", "eig", "det", "verify")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` the parser that
+    holds only that command's subparser.  Its usage line names every
+    command still, so the two parsers print the same for that command."""
     parser = argparse.ArgumentParser(prog="cl12", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     common = argparse.ArgumentParser(add_help=False)
@@ -425,44 +431,53 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="relative tolerance for singularity and comparisons, "
                              "in [0, 1) (default 1e-9)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a metavar would rename "argument command" in the full parser's errors
+    metavar = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a multivector expression")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_eval)
+    if command in (None, "eval"):
+        p = sub.add_parser("eval", parents=[common], help="evaluate a multivector expression")
+        p.add_argument("expr")
+        p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("solve", parents=[common], help="solve a*x*b = d, a*x = d or x*b = d")
-    p.add_argument("kind", choices=["axb", "ax", "xb"])
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--d", required=True)
-    p.add_argument("--strict", action="store_true", help="exit 1 when unsolvable")
-    # argparse cannot say which operands a form takes; _cmd_solve checks,
-    # and reports a mismatch as this parser reports its own usage errors
-    p.set_defaults(func=_cmd_solve, usage_error=p.error)
+    if command in (None, "solve"):
+        p = sub.add_parser("solve", parents=[common], help="solve a*x*b = d, a*x = d or x*b = d")
+        p.add_argument("kind", choices=["axb", "ax", "xb"])
+        p.add_argument("--a")
+        p.add_argument("--b")
+        p.add_argument("--d", required=True)
+        p.add_argument("--strict", action="store_true", help="exit 1 when unsolvable")
+        # argparse cannot say which operands a form takes; _cmd_solve checks,
+        # and reports a mismatch as this parser reports its own usage errors
+        p.set_defaults(func=_cmd_solve, usage_error=p.error)
 
-    p = sub.add_parser("similar", parents=[common], help="decide similarity, produce a witness")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_similar)
+    if command in (None, "similar"):
+        p = sub.add_parser("similar", parents=[common], help="decide similarity, produce a witness")
+        p.add_argument("a")
+        p.add_argument("b")
+        p.set_defaults(func=_cmd_similar)
 
-    p = sub.add_parser("rep", parents=[common], help="print a representation matrix")
-    p.add_argument("a")
-    p.add_argument("--side", choices=["left", "right"], default="left")
-    p.set_defaults(func=_cmd_rep)
+    if command in (None, "rep"):
+        p = sub.add_parser("rep", parents=[common], help="print a representation matrix")
+        p.add_argument("a")
+        p.add_argument("--side", choices=["left", "right"], default="left")
+        p.set_defaults(func=_cmd_rep)
 
-    p = sub.add_parser("eig", parents=[common], help="closed-form eigenvalues")
-    p.add_argument("a")
-    p.set_defaults(func=_cmd_eig)
+    if command in (None, "eig"):
+        p = sub.add_parser("eig", parents=[common], help="closed-form eigenvalues")
+        p.add_argument("a")
+        p.set_defaults(func=_cmd_eig)
 
-    p = sub.add_parser("det", parents=[common], help="determinant of the left matrix")
-    p.add_argument("a")
-    p.set_defaults(func=_cmd_det)
+    if command in (None, "det"):
+        p = sub.add_parser("det", parents=[common], help="determinant of the left matrix")
+        p.add_argument("a")
+        p.set_defaults(func=_cmd_det)
 
-    p = sub.add_parser("verify", parents=[common], help="run the randomized cross-check suites")
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
+    if command in (None, "verify"):
+        p = sub.add_parser("verify", parents=[common], help="run the randomized cross-check suites")
+        p.add_argument("--trials", type=_positive_int, default=100)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -475,10 +490,12 @@ def _escape_negatives(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
+    argv = _escape_negatives(list(sys.argv[1:]) if argv is None else list(argv))
+    # a run names its command first, and needs only that command's parser;
+    # -h, an unknown command or none gets the parser of every command
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(_escape_negatives(argv))
+        args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse's usage errors (2) and --help (0)
         return int(exc.code or 0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .multivector import (DEFAULT_TOL, Multivector, _check_tol, _make, _ntp, _reduced, _scaled,
+from .multivector import (DEFAULT_TOL, Multivector, _check_tol, _forms, _make_scaled, _record,
                           _within)
 
 __all__ = ["SingularElement", "MPKind", "MPResult", "inverse", "mp_inverse"]
@@ -51,16 +51,20 @@ class MPResult(NamedTuple):
     condition: float
 
 
-def _invert(c: tuple[float, ...], n: float, t: float, p: float) -> Multivector:
-    """((N - 2*T*e7) / P) * conjugate(a) from a's coefficients ``c`` and N, T, P.
-    e7 * e_j = MUL_SIGN[7][j] e_(7^j), and the conjugate negates e1..e6."""
+_ZERO_RESULT = MPResult(Multivector.zero(), _ZERO, 0.0)  # immutable, so built once and shared
+
+
+def _invert(c: tuple[float, ...], n: float, t: float, p: float) -> tuple[float, ...]:
+    """The coefficients of ((N - 2*T*e7) / P) * conjugate(a) from a's
+    coefficients ``c`` and N, T, P.  e7 * e_j = MUL_SIGN[7][j] e_(7^j), and
+    the conjugate negates e1..e6."""
     c0, c1, c2, c3, c4, c5, c6, c7 = c
     g0, g7 = n / p, -2.0 * t / p
-    return _make((
+    return (
         0.0 + g0 * c0 - g7 * c7, 0.0 - g0 * c1 + g7 * c6, 0.0 - g0 * c2 + g7 * c5,
         0.0 - g0 * c3 + g7 * c4, 0.0 - g0 * c4 - g7 * c3, 0.0 - g0 * c5 - g7 * c2,
         0.0 - g0 * c6 - g7 * c1, 0.0 + g0 * c7 + g7 * c0,
-    ))
+    )
 
 
 def inverse(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
@@ -68,11 +72,10 @@ def inverse(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     ``a``; raises SingularElement when P <= tol * s^2.  The kind is decided
     on the reduced element, so a tiny singular ``a`` raises SingularElement
     rather than the overflow of its generalized inverse."""
-    r, e, s = _reduced(a)
-    kind, n, t, p = _kind(r.coeffs, s, _check_tol(tol))
-    if kind is not _INVERTIBLE:
+    c, e, s, n, t, p = _forms(a.coeffs)
+    if _kind(s, p, _check_tol(tol)) is not _INVERTIBLE:
         raise SingularElement(f"P(a) <= tol * s^2 with tol = {tol:g}: a is singular")
-    return _scaled(_invert(r.coeffs, n, t, p), -e)
+    return _make_scaled(_invert(c, n, t, p), -e)
 
 
 def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
@@ -84,26 +87,27 @@ def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
     pinv(2^k a) is exactly pinv(a) / 2^k; a result that overflows raises
     ValueError.
     """
-    r, e, s = _reduced(a)
-    c0, c1, c2, c3, c4, c5, c6, c7 = c = r.coeffs
-    kind, n, t, p = _kind(c, s, _check_tol(tol))
+    c, e, s, n, t, p = _forms(a.coeffs)
+    kind = _kind(s, p, _check_tol(tol))
     if kind is _INVERTIBLE:
-        return MPResult(_scaled(_invert(c, n, t, p), -e), kind, p / (s * s))
-    if kind is _ZERO:
-        return MPResult(Multivector.zero(), kind, 0.0)
-    d = _four_k(c)  # x = a.prime() / (4K)
-    x = _make(tuple([y / d + 0.0 for y in (c0, c1, -c2, c3, -c4, c5, -c6, -c7)]))
-    return MPResult(_scaled(x, -e), kind, p / (s * s))
+        x = _invert(c, n, t, p)
+    elif kind is _ZERO:
+        return _ZERO_RESULT
+    else:  # x = a.prime() / (4K)
+        c0, c1, c2, c3, c4, c5, c6, c7 = c
+        d = _four_k(c)
+        x = (c0 / d + 0.0, c1 / d + 0.0, -c2 / d + 0.0, c3 / d + 0.0,
+             -c4 / d + 0.0, c5 / d + 0.0, -c6 / d + 0.0, -c7 / d + 0.0)
+    return _record(MPResult, (_make_scaled(x, -e), kind, p / (s * s)))
 
 
-def _kind(c: tuple[float, ...], s: float, tol: float) -> tuple[MPKind, float, float, float]:
-    """(kind, N, T, P) of the coefficients ``c`` and square sum ``s`` of a
-    reduced element (see :func:`_reduced`): the one place where the rule
+def _kind(s: float, p: float, tol: float) -> MPKind:
+    """The kind of a reduced element (see :func:`~cl12.multivector._forms`)
+    with square sum ``s`` and P = ``p``: the one place where the rule
     P <= tol * s^2 picks a branch, for inverse, mp_inverse and solve_axb."""
-    n, t, p = _ntp(c)
     if not _within(p, tol, s * s):
-        return _INVERTIBLE, n, t, p
-    return (_SINGULAR if s else _ZERO), n, t, p  # only zero reduces to s == 0
+        return _INVERTIBLE
+    return _SINGULAR if s else _ZERO  # only zero reduces to s == 0
 
 
 def _four_k(c: tuple[float, ...]) -> float:

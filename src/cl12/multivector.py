@@ -22,7 +22,7 @@ round-to-nearest a running sum that starts at +0.0 is never -0.0, and
 adding +-0.0 to it changes nothing.  So the generated product rounds
 exactly like the loop, sign of zero included, and never holds -0.0.  The
 closed forms are straight-line tuple code by the same rule, so on the
-element ``_reduced`` returns each is bit-identical to its
+coefficients ``_forms`` returns each is bit-identical to its
 Multivector-level formula: the inverse ((N - 2T*e7)/P) * a.conjugate() is
 0.0 +- g0*c_k +- g7*c_(7^k), that product's nonzero terms in its order;
 ``+``, ``-``, scaling by a real and a.prime()/(4K) add 0.0 last, as do the
@@ -66,7 +66,7 @@ from __future__ import annotations
 import cmath
 import math
 from math import isfinite
-from operator import attrgetter, mul, sub
+from operator import attrgetter, sub
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -112,9 +112,10 @@ class Functionals(NamedTuple):
     (like the oracle's ``FracFunctionals``).
 
     N and T are the quadratic forms whose combination P = N^2 + 4*T^2
-    decides invertibility (P != 0) and equals the fourth root of the
-    representation determinant.  T1, T3, T5 and K drive the closed form
-    of the generalized inverse for singular nonzero elements.
+    decides invertibility (P != 0) and equals the square root of the
+    representation determinant, det L(a) = P^2.  T1, T3, T5 and K drive
+    the closed form of the generalized inverse for singular nonzero
+    elements.
     """
 
     N: float
@@ -207,12 +208,18 @@ class Multivector:
     def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        return _make(tuple([x + y + 0.0 for x, y in zip(self._c, other._c)]))
+        a0, a1, a2, a3, a4, a5, a6, a7 = self._c
+        b0, b1, b2, b3, b4, b5, b6, b7 = other._c
+        return _make((a0 + b0 + 0.0, a1 + b1 + 0.0, a2 + b2 + 0.0, a3 + b3 + 0.0,
+                      a4 + b4 + 0.0, a5 + b5 + 0.0, a6 + b6 + 0.0, a7 + b7 + 0.0))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        return _make(tuple([x - y + 0.0 for x, y in zip(self._c, other._c)]))
+        a0, a1, a2, a3, a4, a5, a6, a7 = self._c
+        b0, b1, b2, b3, b4, b5, b6, b7 = other._c
+        return _make((a0 - b0 + 0.0, a1 - b1 + 0.0, a2 - b2 + 0.0, a3 - b3 + 0.0,
+                      a4 - b4 + 0.0, a5 - b5 + 0.0, a6 - b6 + 0.0, a7 - b7 + 0.0))
 
     def __neg__(self) -> "Multivector":
         return _make(tuple([-x + 0.0 for x in self._c]))
@@ -292,23 +299,17 @@ class Multivector:
     # -- scalar forms ----------------------------------------------------
 
     def functionals(self) -> Functionals:
-        """The seven forms.  Outside the window of ``_reduced`` they are
+        """The seven forms.  Outside the window of ``_forms`` they are
         taken on the reduced element and scaled back, as ``eigenvalues``
         does (P has degree 4, the others 2), so a form is infinite only
         past the double range and never nan."""
-        c0, c1, c2, c3, c4, c5, c6, c7 = c = self._c
-        n, t, p = _ntp(c)
-        k = c0 * c0 + c2 * c2 + c4 * c4 + c6 * c6
-        f = Functionals._make((n, t, p, c0 * c1 - c2 * c3 - c4 * c5 + c6 * c7,
-                               c0 * c3 + c1 * c2 + c4 * c7 + c5 * c6,
-                               c0 * c5 + c1 * c4 - c2 * c7 - c3 * c6, k))
-        if _S_LOW <= 2.0 * k - n <= _S_HIGH:  # 2K - N is the square sum
-            return f
-        r, e, _ = _reduced(self)
-        if not e:  # zero, or a square sum at the window's edge
-            return f
-        return Functionals._make([_ldexp(x, 4 * e if i == 2 else 2 * e)
-                                  for i, x in enumerate(r.functionals())])
+        c, e, _, n, t, p = _forms(self._c)
+        c0, c1, c2, c3, c4, c5, c6, c7 = c
+        f = (n, t, p, c0 * c1 - c2 * c3 - c4 * c5 + c6 * c7, c0 * c3 + c1 * c2 + c4 * c7 + c5 * c6,
+             c0 * c5 + c1 * c4 - c2 * c7 - c3 * c6, c0 * c0 + c2 * c2 + c4 * c4 + c6 * c6)
+        if e:
+            f = [_ldexp(x, 4 * e if i == 2 else 2 * e) for i, x in enumerate(f)]
+        return _record(Functionals, f)
 
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector (``math.hypot``: no
@@ -344,6 +345,7 @@ class Multivector:
 #: The coefficient tuple: ``coeffs`` is the ``_c`` slot under a public name.
 Multivector.coeffs = Multivector._c
 _new, _set_c = object.__new__, Multivector._c.__set__
+_record = tuple.__new__  # builds a NamedTuple from a sequence of its fields, at C speed
 
 
 def _finite(c: tuple[float, ...]) -> tuple[float, ...]:
@@ -380,8 +382,8 @@ def _within(x: float, tol: float, scale: float) -> bool:
 
 
 def _is_singular(a: "Multivector", tol: float) -> bool:  # a.is_singular(tol), tol checked
-    r, _, s = _reduced(a)
-    return _within(_ntp(r._c)[2], tol, s * s)
+    _, _, s, _, _, p = _forms(a._c)
+    return _within(p, tol, s * s)
 
 
 # Coefficient square sums inside this window keep P, s^2 and every product
@@ -389,14 +391,21 @@ def _is_singular(a: "Multivector", tol: float) -> bool:  # a.is_singular(tol), t
 _S_LOW, _S_HIGH = 2.0 ** -400, 2.0 ** 400
 
 
-def _scaled(a: Multivector, e: int) -> Multivector:
-    """a * 2^e, exact while the result stays normal; ValueError on overflow."""
+def _make_scaled(c: tuple[float, ...], e: int) -> Multivector:
+    """The element with coefficients ``c`` times 2^e, built once, exact
+    while it stays normal.  Its errors are those of ``_scaled(_make(c), e)``:
+    ValueError naming ``c`` unless ``c`` is finite, then on overflow."""
     if not e:
-        return a
+        return _make(c)
     try:
-        return _make(tuple([math.ldexp(x, e) + 0.0 for x in a._c]))
+        return _make(tuple([math.ldexp(x, e) + 0.0 for x in _finite(c)]))
     except OverflowError:
         raise ValueError(f"scaling by 2^{e} overflows the coefficients") from None
+
+
+def _scaled(a: Multivector, e: int) -> Multivector:
+    """a * 2^e, exact while the result stays normal; ValueError on overflow."""
+    return _make_scaled(a._c, e) if e else a
 
 
 def _ldexp(x: float, e: int) -> float:
@@ -407,19 +416,30 @@ def _ldexp(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _reduced(a: Multivector) -> tuple[Multivector, int, float]:
-    """(r, e, coefficient square sum of r) with a = r * 2^e.
+def _forms(c: tuple[float, ...]) -> tuple[tuple[float, ...], int, float, float, float, float]:
+    """(r, e, s, N, T, P): coefficients r with c = r * 2^e, the square sum
+    s of r and the forms of ``_ntp`` of r, in one pass over ``c``.
 
-    e is 0 (and r is a) while the square sum lies in the window; otherwise
-    r has its largest |coefficient| in [1/2, 1).  Zero is decided by
-    ``is_zero``: the square sum of a nonzero element can underflow to 0.
+    e is 0 (and r is c) while the square sum lies in the window; otherwise
+    r has its largest |coefficient| in [1/2, 1), which puts its square sum
+    in [1/4, 8], so the second pass ends there.  Zero is decided on the
+    coefficients: the square sum of a nonzero element can underflow to 0.
+    s adds the squares left to right, as ``sum`` does up to Python 3.11.
     """
-    s = sum(map(mul, a._c, a._c))
-    if _S_LOW <= s <= _S_HIGH or a.is_zero():
-        return a, 0, s
-    e = math.frexp(max(map(abs, a._c)))[1]
-    r = _scaled(a, -e)
-    return r, e, sum(map(mul, r._c, r._c))
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
+    s = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3 + c4 * c4 + c5 * c5 + c6 * c6 + c7 * c7
+    if _S_LOW <= s <= _S_HIGH or not any(c):
+        n, t, p = _ntp(c)
+        return c, 0, s, n, t, p
+    e = math.frexp(max(map(abs, c)))[1]
+    r, _, s, n, t, p = _forms(tuple([math.ldexp(x, -e) + 0.0 for x in c]))
+    return r, e, s, n, t, p
+
+
+def _reduced(a: Multivector) -> tuple[Multivector, int, float]:
+    """(r, e, s) of ``_forms`` with r an element: ``a`` itself when e is 0."""
+    r, e, s, _, _, _ = _forms(a._c)
+    return (_make(r) if e else a), e, s
 
 
 def _to_m2(c: tuple[float, ...]) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -481,15 +501,14 @@ def eigenvalues(a: Multivector) -> EigenSpectrum:
     are, and scaled back (they have degree 1), so N and T cannot overflow;
     a part past the double range comes back infinite.
     """
-    r, e, _ = _reduced(a)
-    n, t, _ = _ntp(r._c)
-    alpha = complex(r._c[0], r._c[7])
+    c, e, _, n, t, _ = _forms(a._c)
+    alpha = complex(c[0], c[7])
     root = cmath.sqrt(alpha * alpha - complex(n, 2.0 * t))
     l0, l1 = alpha + root, alpha - root
     lams = sorted((l0, l1, l0.conjugate(), l1.conjugate()), key=_REAL_IMAG)
     if e:
         lams = [complex(_ldexp(z.real, e), _ldexp(z.imag, e)) for z in lams]
-    return EigenSpectrum(tuple(lams))
+    return _record(EigenSpectrum, (tuple(lams), 2))
 
 
 def format_multivector(a: Multivector) -> str:

@@ -37,7 +37,7 @@ least that factor for every witness q, and P / s^2 <= 4 / cond2^2 <= tol.
 An example is e1 + e2 and 1e-5 * (e1 + e2), two similar nilpotents.
 In floats every comparison is relative to the pair's scale, so verdicts
 do not change when both elements are scaled by a power of two.  The pair
-is rescaled only when its larger norm lies outside ``_reduced``'s window:
+is rescaled only when its larger norm lies outside ``_forms``'s window:
 ``_off_window`` is that test, written once, and ``_reduced_pair`` the one
 rescale, which the CLI's witness residual shares; a desk pair is decided
 on its own coefficients.
@@ -52,7 +52,8 @@ from typing import NamedTuple
 
 from .inverse import SingularElement, inverse
 from .multivector import (BASIS, DEFAULT_TOL, Multivector, _S_HIGH, _S_LOW, _check_tol, _cim_m2,
-                          _from_m2, _is_singular, _ntp, _reduced, _scaled, _within, e0)
+                          _forms, _from_m2, _is_singular, _ntp, _record, _reduced, _scaled, _within,
+                          e0)
 
 __all__ = ["SimilarityReason", "SimilarityResult", "ConjugationMatrix", "conjugate_by",
            "conjugation_matrix", "is_similar"]
@@ -128,7 +129,7 @@ def _cyclic(u00: complex, u01: complex, u10: complex):
 
 def _off_window(scale: float) -> bool:
     """True when a pair whose larger norm is ``scale`` lies outside
-    ``_reduced``'s window, read off the norm: only such a pair is rescaled."""
+    ``_forms``'s window, read off the norm: only such a pair is rescaled."""
     return not _S_LOW <= scale * scale <= _S_HIGH
 
 
@@ -141,7 +142,7 @@ def _reduced_pair(a: Multivector, b: Multivector, a_norm: float,
     so neither the quadratic invariants nor a product of the pair
     overflows or underflows.
     """
-    _, e, _ = _reduced(a if a_norm >= b_norm else b)
+    e = _forms((a if a_norm >= b_norm else b).coeffs)[1]
     if e:
         a, b = _scaled(a, -e), _scaled(b, -e)
         a_norm, b_norm = a.norm(), b.norm()
@@ -156,7 +157,6 @@ _N_MISMATCH = SimilarityResult(False, None, SimilarityReason.N_MISMATCH)
 _T_MISMATCH = SimilarityResult(False, None, SimilarityReason.T_MISMATCH)
 _CIM_EQUAL = SimilarityResult(True, e0, SimilarityReason.INVARIANTS_MATCH)
 _INVARIANTS_MATCH = SimilarityReason.INVARIANTS_MATCH
-_new = tuple.__new__
 
 
 def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> SimilarityResult:
@@ -218,6 +218,6 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
     q_norm = hypot(*witness.coeffs)
     residual = hypot(d0, d7) * q_norm + abs(det_gap) * (v_norm * w_norm / _ROOT2)
     if _within(residual, tol, 8.0 * q_norm * scale) and not _is_singular(witness, tol):
-        return _new(SimilarityResult, (True, _scaled(witness, e), _INVARIANTS_MATCH))
+        return _record(SimilarityResult, (True, _scaled(witness, e), _INVARIANTS_MATCH))
     raise SingularElement(f"no witness is invertible within tol = {tol:g}"
                           " and meets |qa - bq| <= 8 tol |q| scale")

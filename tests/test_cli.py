@@ -545,6 +545,22 @@ def test_help_exits_zero(capsys):
     assert code == 0
 
 
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch):
+    # main builds only the named command's subparser; exit code, stdout and
+    # stderr are those of the parser of every command
+    from cl12 import cli
+
+    table = (["-h"], ["eval", "-h"], ["bogus"], [], ["eval", "1", "2"], ["eval", "e1"],
+             ["solve", "ax", "--d", "1", "--b", "2"], ["verify", "--trials", "0"],
+             ["rep", "e1", "--side", "up"], ["similar", "e1"], ["det", "--json", "-e7"],
+             ["eig", "--tol", "2", "e1"])
+    got = [run(capsys, *argv) for argv in table]
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+    assert got == [run(capsys, *argv) for argv in table]
+    assert got[4][0] == 2 and got[4][2].startswith("usage: cl12 [-h] {eval,solve,")
+
+
 def _imported_roots(node) -> list[str]:
     if isinstance(node, ast.Import):
         return [alias.name.split(".")[0] for alias in node.names]

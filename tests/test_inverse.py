@@ -19,7 +19,7 @@ from cl12 import (
     inverse,
     mp_inverse,
 )
-from cl12.multivector import _ldexp, _reduced, _scaled, _within
+from cl12.multivector import _ldexp, _scaled, _within
 from support import count_calls, random_invertible, random_nonzero_mixed, random_singular
 
 
@@ -66,11 +66,32 @@ def test_mp_inverse_cases():
     assert inv.condition == pytest.approx(1.0)  # P = 9, norm^4 = 9
 
 
+def _square_sum(c):
+    # left to right: from Python 3.12 on, sum() adds floats with compensation
+    s = 0.0
+    for x in c:
+        s += x * x
+    return s
+
+
+def _ref_reduced(a):
+    # (r, e, square sum of r) with a = r * 2^e, as the library first
+    # reduced an element: r is a itself while the square sum lies in
+    # [2^-400, 2^400] or a is zero, else its largest |coefficient| is in
+    # [1/2, 1)
+    s = _square_sum(a.coeffs)
+    if 2.0 ** -400 <= s <= 2.0 ** 400 or a.is_zero():
+        return a, 0, s
+    e = math.frexp(max(map(abs, a.coeffs)))[1]
+    r = _scaled_reference(a, -e)
+    return r, e, _square_sum(r.coeffs)
+
+
 def _functionals_reference(a):
     # N, T, P, T1, T3, T5, K written out on indexed coefficients: the
     # operations, in their order, that the tuple kernels must round like,
     # on the reduced element and scaled back (P has degree 4, the rest 2)
-    r, e, _ = _reduced(a)
+    r, e, _ = _ref_reduced(a)
     c = r.coeffs
     n = (
         c[0] * c[0] - c[1] * c[1] + c[2] * c[2] - c[3] * c[3]
@@ -92,17 +113,18 @@ def _central_inverse(a, n, t, p):
 
 
 def _mp_inverse_reference(a, tol=1e-9):
-    # mp_inverse as it read before it shared one functionals() call:
-    # is_singular and inverse each recompute P and the square sum.
-    if a.is_zero():
+    # mp_inverse through Multivector objects: the kind, the pinv and the
+    # condition taken on the reduced element, the pinv scaled back
+    r, e, s = _ref_reduced(a)
+    if r.is_zero():
         return MPResult(pinv=Multivector.zero(), kind=MPKind.ZERO, condition=0.0)
-    n, t, p, _, _, _, k = _functionals_reference(a)
-    s = sum(x * x for x in a.coeffs)
+    n, t, p, _, _, _, k = _functionals_reference(r)
     condition = p / (s * s)
     if not _within(p, tol, s * s):
-        return MPResult(pinv=_central_inverse(a, n, t, p), kind=MPKind.INVERTIBLE,
-                        condition=condition)
-    return MPResult(pinv=a.prime() / (4.0 * k), kind=MPKind.SINGULAR_NONZERO, condition=condition)
+        return MPResult(pinv=_scaled_reference(_central_inverse(r, n, t, p), -e),
+                        kind=MPKind.INVERTIBLE, condition=condition)
+    return MPResult(pinv=_scaled_reference(r.prime() / (4.0 * k), -e),
+                    kind=MPKind.SINGULAR_NONZERO, condition=condition)
 
 
 def test_mp_inverse_bit_identical_to_reference():
@@ -124,20 +146,20 @@ def test_mp_inverse_bit_identical_to_reference():
 
 
 def _is_singular_reference(a, tol):
-    r, _, s = _reduced(a)
+    r, _, s = _ref_reduced(a)
     return _within(_functionals_reference(r)[2], tol, s * s)
 
 
 def _inverse_reference(a, tol):
-    r, e, s = _reduced(a)
+    r, e, s = _ref_reduced(a)
     n, t, p = _functionals_reference(r)[:3]
     if _within(p, tol, s * s):
         raise SingularElement("singular")
-    return _scaled(_central_inverse(r, n, t, p), -e)
+    return _scaled_reference(_central_inverse(r, n, t, p), -e)
 
 
 def _eigenvalues_reference(a):
-    r, e, _ = _reduced(a)
+    r, e, _ = _ref_reduced(a)
     c = r.coeffs
     n, t = _functionals_reference(r)[:2]
     alpha = complex(c[0], c[7])
@@ -214,12 +236,81 @@ def test_closed_forms_bit_identical_to_reference():
         assert _outcome(_scaled, a, e) == _outcome(_scaled_reference, a, e)
 
 
+def _edge_draw(rng):
+    # a square sum within a few ulps of 2^400 or 2^-400, the edges of the
+    # window outside which the closed forms reduce: one coefficient of
+    # about 2^+-200, the others zero, 2^-27 or so of it (which moves the
+    # square sum by an ulp or two) or far below it, down to where reducing
+    # the element makes them or their products subnormal
+    c = [rng.choice((1.0, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -52))]
+    for _ in range(7):
+        kind = rng.randrange(3)
+        exponent = rng.randint(-30, -25) if kind == 1 else rng.randint(-1074, -100)
+        c.append(0.0 if kind == 0 else rng.uniform(-1.0, 1.0) * 2.0 ** exponent)
+    rng.shuffle(c)
+    k = rng.choice((200, -200))
+    return Multivector([math.ldexp(x, k) for x in c])
+
+
+# Square sums just outside the window.  Telling the window by 2K - N, which
+# is the square sum rounded another way, kept these two unreduced, and T1
+# came out 0.0 for the first and -6.497e-321 for the second.
+_EDGE_CASES = (
+    (1.1934569360485287e-68, 0.0, 3.684476528577279e-269, 6.22301527786114e-61,
+     7.153648479063456e-230, 0.0, -5.53112234e-315, 7.166516835557385e-287),
+    (0.0, 1.9746841000052143e+52, 0.0, 0.0, 1.3195722552441616e-104, 4.924886239268771e-217,
+     1.6069380442589903e+60, 0.0),
+)
+
+
+def test_closed_forms_at_the_window_edges():
+    # every closed form decides the window by the square sum, as the
+    # references do, on both sides of both edges
+    rng = random.Random(151)
+    cases = [Multivector(c) for c in _EDGE_CASES] + [_edge_draw(rng) for _ in range(300)]
+    inside = set()
+    for a in cases:
+        inside.add(2.0 ** -400 <= _square_sum(a.coeffs) <= 2.0 ** 400)
+        assert repr(tuple(a.functionals())) == repr(_functionals_reference(a))
+        for tol in (1e-9, 0.0, 1e-3):
+            assert a.is_singular(tol) is _is_singular_reference(a, tol)
+            assert _outcome(inverse, a, tol) == _outcome(_inverse_reference, a, tol)
+            assert (_outcome(lambda x: tuple(mp_inverse(x, tol)), a)
+                    == _outcome(lambda x: tuple(_mp_inverse_reference(x, tol)), a))
+        assert _outcome(lambda x: eigenvalues(x).values, a) == _outcome(_eigenvalues_reference, a)
+    assert inside == {True, False}
+    assert repr(Multivector(_EDGE_CASES[0]).functionals().T1) == "-0.0"
+    assert repr(Multivector(_EDGE_CASES[1]).functionals().T1) == "0.0"
+
+
 def test_mp_inverse_evaluates_functionals_once(monkeypatch):
-    # N, T and P come from the one kernel _ntp, once per mp_inverse,
-    # inverse and is_singular call
-    calls = count_calls(monkeypatch, "_ntp")
+    # each closed form makes one pass over the coefficients, in _forms,
+    # which takes the square sum and N, T and P together
+    calls = count_calls(monkeypatch, "_forms")
     for f, a in ((mp_inverse, e0 + e2 + e4), (mp_inverse, e1 + e2), (mp_inverse, 3.0 * e4),
-                 (inverse, e0 + e2 + e4), (Multivector.is_singular, e1 + e2)):
+                 (mp_inverse, Multivector.zero()), (inverse, e0 + e2 + e4),
+                 (Multivector.is_singular, e1 + e2), (eigenvalues, e0 + e2 + e4),
+                 (Multivector.functionals, e1 + e2)):
         calls.clear()
         f(a)
-        assert len(calls) == 1
+        assert calls == [(a.coeffs,)]
+    # outside the window, one more pass over the reduced coefficients
+    big = 2.0 ** 600 * (e0 + e2 + e4)
+    calls.clear()
+    mp_inverse(big)
+    assert calls == [(big.coeffs,), ((0.5, 0.0, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0),)]
+
+
+def test_closed_forms_outside_the_window_build_only_their_result(monkeypatch):
+    # reducing an element takes its coefficients, not a new element
+    big = 2.0 ** 600 * (e0 + e2 + e4)
+    makes = count_calls(monkeypatch, "_make")
+    for f in (Multivector.is_singular, eigenvalues, Multivector.functionals):
+        makes.clear()
+        f(big)
+        assert makes == []
+    for f in (inverse, lambda a: mp_inverse(a).pinv):
+        makes.clear()
+        x = f(big)
+        assert makes == [(x.coeffs,)]
+        assert x == inverse(e0 + e2 + e4) / 2.0 ** 600
