@@ -11,7 +11,8 @@ standard output is one JSON object:
 
 * ``checks``: ``{"suite:line": [label, failures]}`` for every line of
   ``cl12.verify`` that called ``check``, labelled by its first message
-  without the trial number and the values in parentheses;
+  (formatted, whether the check passed or not) without the trial number
+  and the values in parentheses;
 * ``raised``: ``{suite: message}`` for each suite that ended by raising;
 * ``failed_tests``: the node ids of the named tests that failed, or
   ``pytest exited N`` when pytest could not run them;
@@ -40,10 +41,10 @@ def main(argv: list[str]) -> None:
     checks: dict[str, list] = {}
     check = verify.SuiteResult.check
 
-    def counted(res, ok, message):
-        entry = checks.setdefault(f"{res.name}:{sys._getframe(1).f_lineno}", [_label(message), 0])
+    def counted(res, ok, fmt, *args):
+        entry = checks.setdefault(f"{res.name}:{sys._getframe(1).f_lineno}", [_label(fmt % args), 0])
         entry[1] += not ok
-        check(res, ok, message)
+        check(res, ok, fmt, *args)
 
     verify.SuiteResult.check = counted
     try:

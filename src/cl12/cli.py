@@ -387,7 +387,8 @@ def _cmd_verify(args) -> int:
     if args.json:
         _print_json({
             "ok": ok,
-            "suites": [{"name": r.name, "passed": r.passed, "failed": r.failed} for r in results],
+            "suites": [{"name": r.name, "passed": r.passed, "failed": r.failed, "seconds": r.seconds}
+                       for r in results],
         })
     else:
         for r in results:

@@ -222,7 +222,9 @@ class Multivector:
                       a4 - b4 + 0.0, a5 - b5 + 0.0, a6 - b6 + 0.0, a7 - b7 + 0.0))
 
     def __neg__(self) -> "Multivector":
-        return _make(tuple([-x + 0.0 for x in self._c]))
+        c0, c1, c2, c3, c4, c5, c6, c7 = self._c
+        return _make((-c0 + 0.0, -c1 + 0.0, -c2 + 0.0, -c3 + 0.0,
+                      -c4 + 0.0, -c5 + 0.0, -c6 + 0.0, -c7 + 0.0))
 
     def __pos__(self) -> "Multivector":
         return self
@@ -232,7 +234,9 @@ class Multivector:
             return _make(_mul_coeffs(self._c, other._c))
         if isinstance(other, (int, float)):
             s = float(other)
-            return _make(tuple([x * s + 0.0 for x in self._c]))
+            c0, c1, c2, c3, c4, c5, c6, c7 = self._c
+            return _make((c0 * s + 0.0, c1 * s + 0.0, c2 * s + 0.0, c3 * s + 0.0,
+                          c4 * s + 0.0, c5 * s + 0.0, c6 * s + 0.0, c7 * s + 0.0))
         return NotImplemented
 
     __rmul__ = __mul__  # reached only for a non-Multivector left factor; s*x == x*s
@@ -242,7 +246,9 @@ class Multivector:
             s = float(other)
             if not s:
                 raise ValueError("division of a multivector by zero")
-            return _make(tuple([x / s + 0.0 for x in self._c]))
+            c0, c1, c2, c3, c4, c5, c6, c7 = self._c
+            return _make((c0 / s + 0.0, c1 / s + 0.0, c2 / s + 0.0, c3 / s + 0.0,
+                          c4 / s + 0.0, c5 / s + 0.0, c6 / s + 0.0, c7 / s + 0.0))
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -332,6 +338,11 @@ class Multivector:
         a bound on the condition number of the left matrix and does not
         depend on the scale of ``a``.  It lies in [0, 1], so ``tol`` must
         be in [0, 1).
+
+        ``tol = 0`` decides whether the float P is 0.0, which is the exact
+        verdict P = 0 only while P does not underflow: ``1 + e1 + 2^-500 e2``
+        has exact P = 2^-2000 > 0, but its float P is 0.0, so it reads as
+        singular.
         """
         return _is_singular(self, _check_tol(tol))
 

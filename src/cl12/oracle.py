@@ -312,26 +312,34 @@ def finverse(a) -> tuple:
     return fmp_inverse(a)
 
 
+def _matrix_tables() -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+    # e_i e_j = GEN_SIGN[i][j] e_(GEN_INDEX[i][j]) with k = GEN_INDEX[i][j]
+    # a permutation of i for each j and of j for each i, so entry (k, j) of
+    # L(a) is one signed coefficient, GEN_SIGN[i][j] c_i, and entry (k, i)
+    # of R(a) is GEN_SIGN[i][j] c_j; each table holds (sign, blade)
+    left = [[(0, 0)] * 8 for _ in range(8)]
+    right = [[(0, 0)] * 8 for _ in range(8)]
+    for i in range(8):
+        for j in range(8):
+            k = GEN_INDEX[i][j]
+            left[k][j] = GEN_SIGN[i][j], i
+            right[k][i] = GEN_SIGN[i][j], j
+    return left, right
+
+
+_LEFT, _RIGHT = _matrix_tables()
+
+
 def fleft_matrix(a) -> list[list]:
     """Exact matrix of x -> a*x on coefficient vectors."""
     c = fvec(a)
-    out = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        if c[i]:
-            for j in range(8):
-                out[GEN_INDEX[i][j]][j] += GEN_SIGN[i][j] * c[i]
-    return out
+    return [[s * c[i] for s, i in row] for row in _LEFT]
 
 
 def fright_matrix(a) -> list[list]:
     """Exact matrix of x -> x*a on coefficient vectors."""
     c = fvec(a)
-    out = [[0] * 8 for _ in range(8)]
-    for j in range(8):
-        if c[j]:
-            for i in range(8):
-                out[GEN_INDEX[i][j]][i] += GEN_SIGN[i][j] * c[j]
-    return out
+    return [[s * c[j] for s, j in row] for row in _RIGHT]
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +412,10 @@ def _rref_ints(a: list[list[int]], limit: int, *,
         for i in range(r + 1 if echelon else 0, nrows):
             if i != r:
                 f = a[i][col]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+                if f:
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+                elif p != prev:  # (p*x - 0*y) // prev, and x itself when p == prev
+                    a[i] = [p * x // prev for x in a[i]]
         prev = p
         pivots.append(col)
         r += 1
@@ -553,7 +564,8 @@ def char_poly(m) -> list:
             for _ in range(k - 1):
                 v = [sum(map(mul, r, v)) for r in block]
                 t.append(-sum(map(mul, row, v)))
-        coeffs = [sum(map(mul, coeffs, t[i::-1])) for i in range(k + 2)]
+        t.reverse()  # coefficient i is coeffs dotted with t[i], t[i - 1], ..., t[0]
+        coeffs = [sum(map(mul, coeffs, t[k + 1 - i:])) for i in range(k + 2)]
     return coeffs if den == 1 else [_ratio(c, den**k) for k, c in enumerate(coeffs)]
 
 

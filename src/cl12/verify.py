@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from functools import reduce
 from itertools import combinations
 from operator import mul
@@ -58,22 +59,26 @@ __all__ = ["SuiteResult", "run_all", "random_multivector", "random_invertible", 
 
 
 class SuiteResult:
-    """Pass and fail counts of one suite, and its first five failure messages."""
+    """Pass and fail counts of one suite, its first five failure messages
+    and the wall time :func:`run_all` took over it, in seconds."""
 
-    __slots__ = ("name", "passed", "failed", "messages")
+    __slots__ = ("name", "passed", "failed", "messages", "seconds")
 
     def __init__(self, name: str, passed: int = 0, failed: int = 0,
                  messages: list[str] | None = None):
         self.name, self.passed, self.failed = name, passed, failed
         self.messages = [] if messages is None else messages
+        self.seconds = 0.0
 
-    def check(self, ok: bool, message: str) -> None:
+    def check(self, ok: bool, fmt: str, *args) -> None:
+        """Count one check; its message is ``fmt % args``, formatted only
+        when the check fails and one of the first five to."""
         if ok:
             self.passed += 1
         else:
             self.failed += 1
             if len(self.messages) < 5:
-                self.messages.append(message)
+                self.messages.append(fmt % args)
 
     @property
     def ok(self) -> bool:
@@ -83,8 +88,22 @@ class SuiteResult:
 # -- input generators -------------------------------------------------------
 
 
+def _randints(rng: random.Random, lo: int, hi: int, n: int = 8) -> list[int]:
+    """``[rng.randint(lo, hi) for _ in range(n)]``, draw for draw: randint
+    takes ``getrandbits(k)``, k the bit length of the width, until a draw
+    falls below the width (``Random._randbelow`` on Python 3.10 to 3.13)."""
+    width = hi - lo + 1
+    k, bits, out = width.bit_length(), rng.getrandbits, []
+    for _ in range(n):
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        out.append(lo + r)
+    return out
+
+
 def random_multivector(rng: random.Random, lo: int = -5, hi: int = 5) -> Multivector:
-    return Multivector([rng.randint(lo, hi) for _ in range(8)])
+    return Multivector(_randints(rng, lo, hi))
 
 
 def random_invertible(rng: random.Random, tol: float = DEFAULT_TOL) -> Multivector:
@@ -129,7 +148,8 @@ def _det(m) -> float:
     """Determinant of a small float matrix, by elimination with partial pivoting."""
     a, det = [list(row) for row in m], 1.0
     for k in range(len(a)):
-        p = max(range(k, len(a)), key=lambda i: abs(a[i][k]))
+        col = [abs(row[k]) for row in a[k:]]
+        p = k + col.index(max(col))  # on a tie, the topmost row
         a[k], a[p] = a[p], a[k]
         det *= a[k][k] if p == k else -a[k][k]
         if not det:
@@ -200,33 +220,34 @@ def _suite_multivector(res: SuiteResult, trials: int, seed: int, tol: float) -> 
         a, b, c = (random_multivector(rng) for _ in range(3))
         fa, fb = oracle.fvec(a), oracle.fvec(b)
         res.check(_feq((a * b) * c, oracle.fmul(oracle.fmul(fa, fb), oracle.fvec(c))),
-                  f"trial {n}: product disagrees with rational mirror")
+                  "trial %d: product disagrees with rational mirror", n)
         res.check(_feq(a.conjugate(), oracle.fconjugate(fa)) and _feq(a.prime(), oracle.fprime(fa))
                   and _feq(a.cre(), oracle.fcre(fa)),
-                  f"trial {n}: conjugate, prime or cre disagrees with rational mirror")
+                  "trial %d: conjugate, prime or cre disagrees with rational mirror", n)
 
         f, g = oracle.ffunctionals(fa), oracle.ffunctionals(fb)
         fab = oracle.ffunctionals(oracle.fmul(fa, fb))
         central = (f.N, 0, 0, 0, 0, 0, 0, 2 * f.T)
         res.check(oracle.fmul(fa, oracle.fconjugate(fa)) == oracle.fvec(central)
                   and oracle.fmul(oracle.fconjugate(fa), fa) == oracle.fvec(central),
-                  f"trial {n}: a * conj(a) != N + 2T e7")
-        res.check(fab.T == f.N * g.T + g.N * f.T, f"trial {n}: T(ab) identity")
-        res.check(fab.N == f.N * g.N - 4 * f.T * g.T, f"trial {n}: N(ab) identity")
+                  "trial %d: a * conj(a) != N + 2T e7", n)
+        res.check(fab.T == f.N * g.T + g.N * f.T, "trial %d: T(ab) identity", n)
+        res.check(fab.N == f.N * g.N - 4 * f.T * g.T, "trial %d: N(ab) identity", n)
 
         s = oracle.fvec(random_singular(rng))
         sf = oracle.ffunctionals(s)
         total = sum(x * x for x in s)
         expansion = (total, 2 * sf.T1, 0, 2 * sf.T3, 0, 2 * sf.T5, 0, 0)
         res.check(oracle.fmul(oracle.fprime(s), s) == oracle.fvec(expansion),
-                  f"trial {n}: prime(a) * a expansion on singular input")
+                  "trial %d: prime(a) * a expansion on singular input", n)
         res.check(sf.T1 ** 2 + sf.T3 ** 2 + sf.T5 ** 2 == sf.K ** 2,
-                  f"trial {n}: T1^2 + T3^2 + T5^2 = K^2 on singular input")
-        res.check(sf.K > 0, f"trial {n}: K > 0 for singular nonzero input")
+                  "trial %d: T1^2 + T3^2 + T5^2 = K^2 on singular input", n)
+        res.check(sf.K > 0, "trial %d: K > 0 for singular nonzero input", n)
 
-        probe = rng.choice([a, Multivector((rng.randint(-5, 5), 0, 0, 0, 0, 0, 0, rng.randint(-5, 5)))])
+        c0, c7 = _randints(rng, -5, 5, 2)
+        probe = rng.choice([a, Multivector((c0, 0, 0, 0, 0, 0, 0, c7))])
         res.check(probe.is_central(0.0) == (not any(probe.coeffs[1:7])),
-                  f"trial {n}: is_central(0) vs a zero e1..e6 part")
+                  "trial %d: is_central(0) vs a zero e1..e6 part", n)
 
 
 def _suite_matrix_rep(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
@@ -236,7 +257,7 @@ def _suite_matrix_rep(res: SuiteResult, trials: int, seed: int, tol: float) -> N
         la_exact, ra_exact = oracle.fleft_matrix(a), oracle.fright_matrix(a)
         res.check(list(map(list, left_matrix(a))) == la_exact
                   and list(map(list, right_matrix(a))) == ra_exact,
-                  f"trial {n}: generated left and right matrices vs the oracle's")
+                  "trial %d: generated left and right matrices vs the oracle's", n)
 
         # exact: det L(a) is the constant coefficient of its characteristic
         # polynomial, and P is a whole double on these integer inputs
@@ -244,20 +265,20 @@ def _suite_matrix_rep(res: SuiteResult, trials: int, seed: int, tol: float) -> N
         pol = oracle.char_poly(la_exact)
         det_r = oracle.exact_det(ra_exact)
         res.check(pol[-1] == det_r == f.P * f.P,
-                  f"trial {n}: det = P^2 (det L={pol[-1]}, det R={det_r}, P^2={f.P * f.P:g})")
+                  "trial %d: det = P^2 (det L=%s, det R=%s, P^2=%g)", n, pol[-1], det_r, f.P * f.P)
 
         # the 2x2 complex image; exact, as every entry is a Gaussian integer
         ma = _to_m2(a.coeffs)
-        res.check(_from_m2(ma) == a, f"trial {n}: 2x2 image round trip")
+        res.check(_from_m2(ma) == a, "trial %d: 2x2 image round trip", n)
         det = ma[0][0] * ma[1][1] - ma[0][1] * ma[1][0]
         res.check(det == complex(f.N, -2.0 * f.T) and f.P == det.real ** 2 + det.imag ** 2,
-                  f"trial {n}: det of the 2x2 image is N - 2T i, so P = |det|^2 (det = {det})")
+                  "trial %d: det of the 2x2 image is N - 2T i, so P = |det|^2 (det = %s)", n, det)
 
         # the eigenvalues are the roots of q = (l^2 - 2l(c0 + c7 i) + N + 2T i)
         # times its conjugate, each twice; q's degree-k coefficient at scale C(4, k) m^k
         c0, c7 = a.coeffs[0], a.coeffs[7]
         q = [1, -4 * c0, 2 * f.N + 4 * (c0 * c0 + c7 * c7), -4 * (c0 * f.N + 2 * c7 * f.T), f.P]
-        res.check(pol == oracle.poly_mul(q, q), f"trial {n}: char poly of L(a) is q^2")
+        res.check(pol == oracle.poly_mul(q, q), "trial %d: char poly of L(a) is q^2", n)
         lams = eigenvalues(a).values
         m = max(map(abs, lams))
         monic = [1]  # prod (l - lam), descending powers
@@ -265,7 +286,7 @@ def _suite_matrix_rep(res: SuiteResult, trials: int, seed: int, tol: float) -> N
             monic = [x - lam * y for x, y in zip(monic + [0], [0] + monic)]
         gaps = [abs(x - y) for x, y in zip(monic, q)]
         res.check(all(_within(g, tol, math.comb(4, k) * m ** k) for k, g in enumerate(gaps)),
-                  f"trial {n}: eigenvalues are the roots of q (coefficient gaps {gaps})")
+                  "trial %d: eigenvalues are the roots of q (coefficient gaps %s)", n, gaps)
 
 
 def _suite_inverse(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
@@ -275,10 +296,10 @@ def _suite_inverse(res: SuiteResult, trials: int, seed: int, tol: float) -> None
         fa = oracle.fvec(a)
         den, x = oracle.scaled_mp_inverse(fa)  # pinv(a) = x / den
         ax, xa = oracle.fmul(fa, x), oracle.fmul(x, fa)
-        res.check(oracle.fmul(ax, fa) == _times(den, fa), f"trial {n}: a x a = a")
-        res.check(oracle.fmul(xa, x) == _times(den, x), f"trial {n}: x a x = x")
+        res.check(oracle.fmul(ax, fa) == _times(den, fa), "trial %d: a x a = a", n)
+        res.check(oracle.fmul(xa, x) == _times(den, x), "trial %d: x a x = x", n)
         res.check(oracle.fprime(ax) == ax and oracle.fprime(xa) == xa,
-                  f"trial {n}: prime-symmetry of a x and x a")
+                  "trial %d: prime-symmetry of a x and x a", n)
 
         mp = mp_inverse(a, tol)
         want = [v / den for v in x]
@@ -286,11 +307,11 @@ def _suite_inverse(res: SuiteResult, trials: int, seed: int, tol: float) -> None
                 else MPKind.SINGULAR_NONZERO)
         gap = math.hypot(*(u - v for u, v in zip(mp.pinv.coeffs, want)))
         res.check(mp.kind == kind and _within(gap, tol, math.hypot(*want)),
-                  f"trial {n}: mp_inverse vs the exact inverse (kind {mp.kind.value}, "
-                  f"exact {kind.value}, gap {gap:g})")
+                  "trial %d: mp_inverse vs the exact inverse (kind %s, exact %s, gap %g)",
+                  n, mp.kind.value, kind.value, gap)
         lam = rng.choice([2, 4, -2, 0.5, -0.5])
         scaled = mp_inverse(lam * a, tol).pinv
-        res.check(scaled.isclose(mp.pinv / lam, tol), f"trial {n}: pinv scaling in 1/lambda")
+        res.check(scaled.isclose(mp.pinv / lam, tol), "trial %d: pinv scaling in 1/lambda", n)
 
 
 def _suite_solver(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
@@ -306,20 +327,20 @@ def _suite_solver(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
         system = oracle.matmul(oracle.fleft_matrix(a), oracle.fright_matrix(b))
         exact = oracle.exact_solve(system, oracle.fvec(d))
         res.check(sol.solvable == exact.consistent,
-                  f"trial {n}: solvable flag vs exact solve")
+                  "trial %d: solvable flag vs exact solve", n)
         res.check(sol.dim == len(exact.nullspace),
-                  f"trial {n}: homogeneous dimension {sol.dim} vs exact {len(exact.nullspace)}")
+                  "trial %d: homogeneous dimension %s vs exact %s", n, sol.dim, len(exact.nullspace))
         hb = [h.coeffs for h in sol.hom_basis]
         gram = max((abs(sum(map(mul, u, v)) - (i == j)) for i, u in enumerate(hb)
                     for j, v in enumerate(hb)), default=0.0)
         res.check(all(_within((a * h * b).norm(), tol, a.norm() * b.norm()) for h in sol.hom_basis)
                   and _within(gram, tol, 1.0),
-                  f"trial {n}: homogeneous basis solves a*x*b = 0 and is orthonormal")
+                  "trial %d: homogeneous basis solves a*x*b = 0 and is orthonormal", n)
 
         if not a.is_singular(tol) and not b.is_singular(tol):
             res.check(sol.dim == 0 and sol.solvable
                       and sol.particular.isclose(inverse(a, tol) * d * inverse(b, tol), tol),
-                      f"trial {n}: invertible fast path")
+                      "trial %d: invertible fast path", n)
 
 
 def _suite_similarity(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
@@ -332,36 +353,36 @@ def _suite_similarity(res: SuiteResult, trials: int, seed: int, tol: float) -> N
         flat = max(abs(x - (i == j)) for i, row in enumerate(cm.full)
                    for j, x in enumerate(row) if i in (0, 7) or j in (0, 7))
         res.check(_within(flat, tol, max(abs(x) for row in cm.full for x in row)),
-                  f"trial {n}: conjugation matrix block structure (off-block {flat:g})")
+                  "trial %d: conjugation matrix block structure (off-block %g)", n, flat)
         det = _det(cm.block)  # det L(q) det R(1/q) = P^2 / P^2, dimensionless
         res.check(_within(det - 1.0, tol, 1.0),
-                  f"trial {n}: central block has det 1 (det - 1 = {det - 1.0:g})")
+                  "trial %d: central block has det 1 (det - 1 = %g)", n, det - 1.0)
 
         b = conjugate_by(q, a, tol)
         verdict = is_similar(a, b, tol)
         w = verdict.witness
         res.check(verdict.similar and w is not None and not w.is_singular(tol)
                   and (w * a).isclose(b * w, tol),
-                  f"trial {n}: conjugated pair classified with verified witness")
+                  "trial %d: conjugated pair classified with verified witness", n)
 
         if not a.is_central(tol):
             bumped = Multivector([b.coeffs[0] + 1.0] + list(b.coeffs[1:]))
             res.check(is_similar(a, bumped, tol).reason == SimilarityReason.CRE_MISMATCH,
-                      f"trial {n}: central-part mismatch reason")
+                      "trial %d: central-part mismatch reason", n)
 
 
 def _suite_oracle(res: SuiteResult, trials: int, seed: int, tol: float) -> None:
     rng = random.Random(seed)
     for n in range(trials):
         a = oracle.fleft_matrix(oracle.fvec(_mixed(rng)))
-        bvec = [rng.randint(-5, 5) for _ in range(8)]
+        bvec = _randints(rng, -5, 5)
         sol = oracle.exact_solve(a, bvec)
         if sol.consistent:
             res.check(oracle.mat_vec(a, sol.particular) == bvec,
-                      f"trial {n}: particular solution solves the system")
+                      "trial %d: particular solution solves the system", n)
         res.check(all(oracle.mat_vec(a, v) == [0] * 8 for v in sol.nullspace),
-                  f"trial {n}: nullspace vectors annihilate")
-        res.check(len(sol.nullspace) == 8 - oracle.rank(a), f"trial {n}: nullity vs rank")
+                  "trial %d: nullspace vectors annihilate", n)
+        res.check(len(sol.nullspace) == 8 - oracle.rank(a), "trial %d: nullity vs rank", n)
 
 
 _SUITES = (
@@ -378,18 +399,20 @@ def run_all(trials: int = 100, seed: int = 0, tol: float = DEFAULT_TOL) -> list[
     """Run every suite at the given trial count; deterministic in ``seed``.
 
     An exception raised inside a suite ends that suite only, as one more
-    failed check that names the exception.
+    failed check that names the exception.  Each result's ``seconds`` is
+    the suite's wall time.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _check_tol(tol)  # a bad tol is a usage error, not a failed check per suite
     results = []
     for k, (name, suite) in enumerate(_SUITES):
-        res = SuiteResult(name)
+        res, start = SuiteResult(name), time.perf_counter()
         try:
             suite(res, trials, seed + 1000 * k, tol)
         except Exception as exc:  # any error inside a suite is a failed check
             res.failed += 1
             res.messages.append(f"raised {type(exc).__name__}: {exc}")
+        res.seconds = time.perf_counter() - start
         results.append(res)
     return results

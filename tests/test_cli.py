@@ -422,6 +422,8 @@ def test_verify_json(capsys):
         ("similarity", 800, 0),
         ("oracle", 501, 0),
     ]
+    # each suite's wall time, which the text output does not print
+    assert all(type(s["seconds"]) is float and s["seconds"] >= 0 for s in payload["suites"])
 
 
 def test_verify_reports_an_exception_as_a_failed_check(capsys, monkeypatch):
