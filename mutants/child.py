@@ -42,7 +42,7 @@ def main(argv: list[str]) -> None:
     check = verify.SuiteResult.check
 
     def counted(res, ok, fmt, *args):
-        entry = checks.setdefault(f"{res.name}:{sys._getframe(1).f_lineno}", [_label(fmt % args), 0])
+        entry = checks.setdefault(f"{res.name}:{sys._getframe(1).f_lineno}", [_label(fmt % args if args else fmt), 0])
         entry[1] += not ok
         check(res, ok, fmt, *args)
 

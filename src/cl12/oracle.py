@@ -412,10 +412,7 @@ def _rref_ints(a: list[list[int]], limit: int, *,
         for i in range(r + 1 if echelon else 0, nrows):
             if i != r:
                 f = a[i][col]
-                if f:
-                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
-                elif p != prev:  # (p*x - 0*y) // prev, and x itself when p == prev
-                    a[i] = [p * x // prev for x in a[i]]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
         prev = p
         pivots.append(col)
         r += 1
@@ -564,8 +561,7 @@ def char_poly(m) -> list:
             for _ in range(k - 1):
                 v = [sum(map(mul, r, v)) for r in block]
                 t.append(-sum(map(mul, row, v)))
-        t.reverse()  # coefficient i is coeffs dotted with t[i], t[i - 1], ..., t[0]
-        coeffs = [sum(map(mul, coeffs, t[k + 1 - i:])) for i in range(k + 2)]
+        coeffs = [sum(map(mul, coeffs, t[i::-1])) for i in range(k + 2)]
     return coeffs if den == 1 else [_ratio(c, den**k) for k, c in enumerate(coeffs)]
 
 

@@ -71,14 +71,15 @@ class SuiteResult:
         self.seconds = 0.0
 
     def check(self, ok: bool, fmt: str, *args) -> None:
-        """Count one check; its message is ``fmt % args``, formatted only
-        when the check fails and one of the first five to."""
+        """Count one check; its message is ``fmt % args`` (``fmt`` itself
+        when there are no args), formatted only when the check fails and
+        one of the first five to."""
         if ok:
             self.passed += 1
         else:
             self.failed += 1
             if len(self.messages) < 5:
-                self.messages.append(fmt % args)
+                self.messages.append(fmt % args if args else fmt)
 
     @property
     def ok(self) -> bool:
@@ -148,8 +149,7 @@ def _det(m) -> float:
     """Determinant of a small float matrix, by elimination with partial pivoting."""
     a, det = [list(row) for row in m], 1.0
     for k in range(len(a)):
-        col = [abs(row[k]) for row in a[k:]]
-        p = k + col.index(max(col))  # on a tie, the topmost row
+        p = max(range(k, len(a)), key=lambda i: abs(a[i][k]))
         a[k], a[p] = a[p], a[k]
         det *= a[k][k] if p == k else -a[k][k]
         if not det:

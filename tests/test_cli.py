@@ -668,6 +668,11 @@ def test_suite_result_counts_and_keeps_five_messages():
     assert (res.name, res.passed, res.failed, res.messages, res.ok) == (
         "s", 2, 6, ["m1", "m2", "m3", "m5", "m6"], False)
     assert SuiteResult("t").ok and SuiteResult("t").messages == []
+    # a ready-made message is kept as it is; only args are %-formatted in
+    res = SuiteResult("u")
+    res.check(False, "gap 5%")
+    res.check(False, "trial %d: gap %g%%", 3, 0.5)
+    assert res.messages == ["gap 5%", "trial 3: gap 0.5%"]
     with pytest.raises(AttributeError):
         res.extra = 1  # __slots__
 
