@@ -44,7 +44,8 @@ from .multivector import (
     _DIGITS,
     _check_tol,
     _ldexp,
-    _reduced,
+    _make,
+    _reduce,
     eigenvalues,
     format_multivector,
 )
@@ -308,7 +309,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_similar(args) -> int:
-    from .similarity import _off_window, _reduced_pair, is_similar
+    from .similarity import _reduced_pair, is_similar
 
     a = parse_multivector(args.a, args.tol)
     b = parse_multivector(args.b, args.tol)
@@ -323,13 +324,11 @@ def _cmd_similar(args) -> int:
     print(f"similar: {'yes' if verdict.similar else 'no'}")
     print(f"reason: {verdict.reason.value}")
     if verdict.witness is not None:
-        # computed on the pair reduced as is_similar reduces it and on the
+        # computed on the pair rescaled by is_similar's pair rule and on the
         # witness reduced on its own, so no product leaves the double range
-        a_norm, b_norm = a.norm(), b.norm()
-        e = 0
-        if _off_window(max(a_norm, b_norm)):
-            a, b, e, _, _ = _reduced_pair(a, b, a_norm, b_norm)
-        q, eq, _ = _reduced(verdict.witness)
+        a, b, e, _, _ = _reduced_pair(a, b, a.norm(), b.norm())
+        cq, eq, _ = _reduce(verdict.witness.coeffs)
+        q = _make(cq)
         residual = _ldexp((q * a - b * q).norm(), e + eq)  # back to the input's scale
         print(f"witness: {format_multivector(verdict.witness)}")
         print(f"witness residual: {_g(residual)}")

@@ -15,8 +15,8 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .multivector import (DEFAULT_TOL, Multivector, _check_tol, _forms, _make_scaled, _record,
-                          _within)
+from .multivector import (DEFAULT_TOL, Multivector, _check_tol, _make_scaled, _ntp, _record,
+                          _reduce, _within)
 
 __all__ = ["SingularElement", "MPKind", "MPResult", "inverse", "mp_inverse"]
 
@@ -72,7 +72,8 @@ def inverse(a: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     ``a``; raises SingularElement when P <= tol * s^2.  The kind is decided
     on the reduced element, so a tiny singular ``a`` raises SingularElement
     rather than the overflow of its generalized inverse."""
-    c, e, s, n, t, p = _forms(a.coeffs)
+    c, e, s = _reduce(a.coeffs)
+    n, t, p = _ntp(c)
     if _kind(s, p, _check_tol(tol)) is not _INVERTIBLE:
         raise SingularElement(f"P(a) <= tol * s^2 with tol = {tol:g}: a is singular")
     return _make_scaled(_invert(c, n, t, p), -e)
@@ -87,7 +88,8 @@ def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
     pinv(2^k a) is exactly pinv(a) / 2^k; a result that overflows raises
     ValueError.
     """
-    c, e, s, n, t, p = _forms(a.coeffs)
+    c, e, s = _reduce(a.coeffs)
+    n, t, p = _ntp(c)
     kind = _kind(s, p, _check_tol(tol))
     if kind is _INVERTIBLE:
         x = _invert(c, n, t, p)
@@ -102,7 +104,7 @@ def mp_inverse(a: Multivector, tol: float = DEFAULT_TOL) -> MPResult:
 
 
 def _kind(s: float, p: float, tol: float) -> MPKind:
-    """The kind of a reduced element (see :func:`~cl12.multivector._forms`)
+    """The kind of an element reduced by :func:`~cl12.multivector._reduce`,
     with square sum ``s`` and P = ``p``: the one place where the rule
     P <= tol * s^2 picks a branch, for inverse, mp_inverse and solve_axb."""
     if not _within(p, tol, s * s):

@@ -22,7 +22,7 @@ round-to-nearest a running sum that starts at +0.0 is never -0.0, and
 adding +-0.0 to it changes nothing.  So the generated product rounds
 exactly like the loop, sign of zero included, and never holds -0.0.  The
 closed forms are straight-line tuple code by the same rule, so on the
-coefficients ``_forms`` returns each is bit-identical to its
+coefficients ``_reduce`` returns each is bit-identical to its
 Multivector-level formula: the inverse ((N - 2T*e7)/P) * a.conjugate() is
 0.0 +- g0*c_k +- g7*c_(7^k), that product's nonzero terms in its order;
 ``+``, ``-``, scaling by a real and a.prime()/(4K) add 0.0 last, as do the
@@ -305,11 +305,12 @@ class Multivector:
     # -- scalar forms ----------------------------------------------------
 
     def functionals(self) -> Functionals:
-        """The seven forms.  Outside the window of ``_forms`` they are
+        """The seven forms.  Outside the window of ``_reduce`` they are
         taken on the reduced element and scaled back, as ``eigenvalues``
         does (P has degree 4, the others 2), so a form is infinite only
         past the double range and never nan."""
-        c, e, _, n, t, p = _forms(self._c)
+        c, e, _ = _reduce(self._c)
+        n, t, p = _ntp(c)
         c0, c1, c2, c3, c4, c5, c6, c7 = c
         f = (n, t, p, c0 * c1 - c2 * c3 - c4 * c5 + c6 * c7, c0 * c3 + c1 * c2 + c4 * c7 + c5 * c6,
              c0 * c5 + c1 * c4 - c2 * c7 - c3 * c6, c0 * c0 + c2 * c2 + c4 * c4 + c6 * c6)
@@ -393,7 +394,8 @@ def _within(x: float, tol: float, scale: float) -> bool:
 
 
 def _is_singular(a: "Multivector", tol: float) -> bool:  # a.is_singular(tol), tol checked
-    _, _, s, _, _, p = _forms(a._c)
+    r, _, s = _reduce(a._c)
+    _, _, p = _ntp(r)
     return _within(p, tol, s * s)
 
 
@@ -427,9 +429,8 @@ def _ldexp(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _forms(c: tuple[float, ...]) -> tuple[tuple[float, ...], int, float, float, float, float]:
-    """(r, e, s, N, T, P): coefficients r with c = r * 2^e, the square sum
-    s of r and the forms of ``_ntp`` of r, in one pass over ``c``.
+def _reduce(c: tuple[float, ...]) -> tuple[tuple[float, ...], int, float]:
+    """(r, e, s): coefficients r with c = r * 2^e and the square sum s of r.
 
     e is 0 (and r is c) while the square sum lies in the window; otherwise
     r has its largest |coefficient| in [1/2, 1), which puts its square sum
@@ -440,17 +441,10 @@ def _forms(c: tuple[float, ...]) -> tuple[tuple[float, ...], int, float, float, 
     c0, c1, c2, c3, c4, c5, c6, c7 = c
     s = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3 + c4 * c4 + c5 * c5 + c6 * c6 + c7 * c7
     if _S_LOW <= s <= _S_HIGH or not any(c):
-        n, t, p = _ntp(c)
-        return c, 0, s, n, t, p
+        return c, 0, s
     e = math.frexp(max(map(abs, c)))[1]
-    r, _, s, n, t, p = _forms(tuple([math.ldexp(x, -e) + 0.0 for x in c]))
-    return r, e, s, n, t, p
-
-
-def _reduced(a: Multivector) -> tuple[Multivector, int, float]:
-    """(r, e, s) of ``_forms`` with r an element: ``a`` itself when e is 0."""
-    r, e, s, _, _, _ = _forms(a._c)
-    return (_make(r) if e else a), e, s
+    r, _, s = _reduce(tuple([math.ldexp(x, -e) + 0.0 for x in c]))
+    return r, e, s
 
 
 def _to_m2(c: tuple[float, ...]) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -512,7 +506,8 @@ def eigenvalues(a: Multivector) -> EigenSpectrum:
     are, and scaled back (they have degree 1), so N and T cannot overflow;
     a part past the double range comes back infinite.
     """
-    c, e, _, n, t, _ = _forms(a._c)
+    c, e, _ = _reduce(a._c)
+    n, t, _ = _ntp(c)
     alpha = complex(c[0], c[7])
     root = cmath.sqrt(alpha * alpha - complex(n, 2.0 * t))
     l0, l1 = alpha + root, alpha - root

@@ -37,10 +37,10 @@ least that factor for every witness q, and P / s^2 <= 4 / cond2^2 <= tol.
 An example is e1 + e2 and 1e-5 * (e1 + e2), two similar nilpotents.
 In floats every comparison is relative to the pair's scale, so verdicts
 do not change when both elements are scaled by a power of two.  The pair
-is rescaled only when its larger norm lies outside ``_forms``'s window:
-``_off_window`` is that test, written once, and ``_reduced_pair`` the one
-rescale, which the CLI's witness residual shares; a desk pair is decided
-on its own coefficients.
+is rescaled by ``_reduced_pair``, the one pair rule, which the CLI's
+witness residual shares: by the exponent ``_reduce`` takes off its larger
+element, 0 inside the window, so a desk pair is decided on its own
+coefficients.  ``is_similar`` skips the call when the larger norm is in it.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 from .inverse import SingularElement, inverse
 from .multivector import (BASIS, DEFAULT_TOL, Multivector, _S_HIGH, _S_LOW, _check_tol, _cim_m2,
-                          _forms, _from_m2, _is_singular, _ntp, _record, _reduced, _scaled, _within,
+                          _from_m2, _is_singular, _make, _ntp, _record, _reduce, _scaled, _within,
                           e0)
 
 __all__ = ["SimilarityReason", "SimilarityResult", "ConjugationMatrix", "conjugate_by",
@@ -91,13 +91,13 @@ def conjugate_by(q: Multivector, x: Multivector, tol: float = DEFAULT_TOL) -> Mu
     """q * x * q^{-1}; raises SingularElement for non-invertible q.  Taken on
     q and x reduced by powers of two (it does not change when q is scaled)
     and scaled back by x's, so neither scale alone overflows a product."""
-    x, e, _ = _reduced(x)
-    q = _reduced(q)[0]
-    return _scaled(q * x * inverse(q, tol), e)
+    cx, e, _ = _reduce(x.coeffs)
+    q = _make(_reduce(q.coeffs)[0])
+    return _scaled(q * _make(cx) * inverse(q, tol), e)
 
 
 def conjugation_matrix(q: Multivector, tol: float = DEFAULT_TOL) -> ConjugationMatrix:
-    q = _reduced(q)[0]  # as in conjugate_by: the map does not change when q is scaled
+    q = _make(_reduce(q.coeffs)[0])  # as in conjugate_by: the map does not change when q is scaled
     q_inv = inverse(q, tol)
     full = tuple(zip(*((q * e * q_inv).coeffs for e in BASIS)))
     return ConjugationMatrix(full, tuple(row[1:7] for row in full[1:7]))
@@ -127,22 +127,16 @@ def _cyclic(u00: complex, u01: complex, u10: complex):
     return 1.0, -1j, _ROOT2, u00 - 1j * u01, u10 + 1j * u00
 
 
-def _off_window(scale: float) -> bool:
-    """True when a pair whose larger norm is ``scale`` lies outside
-    ``_forms``'s window, read off the norm: only such a pair is rescaled."""
-    return not _S_LOW <= scale * scale <= _S_HIGH
-
-
 def _reduced_pair(a: Multivector, b: Multivector, a_norm: float,
                   b_norm: float) -> tuple[Multivector, Multivector, int, float, float]:
-    """(a * 2^-e, b * 2^-e, e, and the norms of the two after scaling), for
-    a pair ``_off_window`` holds outside the window, given its norms.
+    """(a * 2^-e, b * 2^-e, e, and the norms of the two after scaling),
+    given the pair's norms.
 
-    The pair is scaled by the power of two that reduces its larger element,
-    so neither the quadratic invariants nor a product of the pair
-    overflows or underflows.
+    e is the exponent ``_reduce`` takes off the larger element, so neither
+    the quadratic invariants nor a product of the pair overflows or
+    underflows; inside the window it is 0 and the pair comes back as it is.
     """
-    e = _forms((a if a_norm >= b_norm else b).coeffs)[1]
+    e = _reduce((a if a_norm >= b_norm else b).coeffs)[1]
     if e:
         a, b = _scaled(a, -e), _scaled(b, -e)
         a_norm, b_norm = a.norm(), b.norm()
@@ -175,7 +169,7 @@ def is_similar(a: Multivector, b: Multivector, tol: float = DEFAULT_TOL) -> Simi
     a_norm, b_norm = hypot(*ca), hypot(*cb)  # Multivector.norm
     scale = max(a_norm, b_norm)
     e = 0
-    if _off_window(scale):  # decided on the reduced pair; the witness is scaled back
+    if not _S_LOW <= scale * scale <= _S_HIGH:  # decided on the reduced pair, witness scaled back
         a, b, e, a_norm, b_norm = _reduced_pair(a, b, a_norm, b_norm)
         ca, cb = a.coeffs, b.coeffs
         scale = max(a_norm, b_norm)

@@ -39,8 +39,8 @@ import math
 from typing import NamedTuple, Sequence
 
 from .inverse import _INVERTIBLE, _SINGULAR, _ZERO, _four_k, _kind
-from .multivector import (DEFAULT_TOL, Multivector, _check_tol, _forms, _from_m2, _ldexp, _m2_mul,
-                          _make, _scaled, _to_m2, _within, e0)
+from .multivector import (DEFAULT_TOL, Multivector, _check_tol, _from_m2, _ldexp, _m2_mul, _make,
+                          _ntp, _reduce, _scaled, _to_m2, _within, e0)
 
 __all__ = ["SolutionSet", "solve_axb", "solve_ax", "solve_xb"]
 
@@ -70,12 +70,12 @@ class SolutionSet(NamedTuple):
     residual: float = 0.0
 
 
-def _image_pinv(m, forms, tol: float, columns: bool):
-    """(kind, image of pinv, (eigenvalue, vector) pairs) of the reduced element
-    with image ``m`` and ``_forms`` (coefficients, exponent, square sum, N, T,
-    P) ``forms``; the pairs are an eigenbasis of m+ m from m's rows, or with
+def _image_pinv(m, c, s: float, tol: float, columns: bool):
+    """(kind, image of pinv, (eigenvalue, vector) pairs) of the element with
+    coefficients ``c``, reduced by ``_reduce`` to the square sum ``s``, and
+    image ``m``; the pairs are an eigenbasis of m+ m from m's rows, or with
     ``columns`` the conjugated eigenbasis of m m+ from its columns."""
-    c, _, s, n, t, p = forms
+    n, t, p = _ntp(c)
     kind = _kind(s, p, tol)
     (m00, m01), (m10, m11) = m
     if kind is _INVERTIBLE:  # adj(m) / det(m), with 1 / det = (N + 2T i) / P
@@ -112,21 +112,21 @@ _ALL = tuple(_hom_basis(_ZEROS, _ZEROS))  # zero beside a nonsingular operand: a
 def solve_axb(a: Multivector, b: Multivector, d: Multivector,
               tol: float = DEFAULT_TOL) -> SolutionSet:
     """Solve a*x*b = d; unsolvable is reported as a value, not an error."""
-    # Work on the operands reduced by powers of two (see _forms), so that
+    # Work on the operands reduced by powers of two (see _reduce), so that
     # no product below leaves the normal range and the verdict does not
     # depend on their scales; x scales back by 2^(ed - ea - eb).
-    ca, ea, sa, _, _, _ = fa = _forms(a.coeffs)
-    cb, eb, sb, _, _, _ = fb = _forms(b.coeffs)
-    cd, ed, sd, _, _, _ = _forms(d.coeffs)
+    ca, ea, sa = _reduce(a.coeffs)
+    cb, eb, sb = _reduce(b.coeffs)
+    cd, ed, sd = _reduce(d.coeffs)
     ma, mb, md = _to_m2(ca), _to_m2(cb), _to_m2(cd)
-    kind_a, pa, left = _image_pinv(ma, fa, _check_tol(tol), False)
-    kind_b, pb, right = _image_pinv(mb, fb, tol, True)
+    kind_a, pa, left = _image_pinv(ma, ca, sa, _check_tol(tol), False)
+    kind_b, pb, right = _image_pinv(mb, cb, sb, tol, True)
     x = _m2_mul(_m2_mul(pa, md), pb)
     x0 = _from_m2(x)
     (r00, r01), (r10, r11) = _m2_mul(_m2_mul(ma, x), mb)
     (d00, d01), (d10, d11) = md
     residual = math.hypot(abs(r00 - d00), abs(r01 - d01), abs(r10 - d10), abs(r11 - d11)) / _SQRT2
-    # |a|, |b| and |d| from the square sums _forms has already formed
+    # |a|, |b| and |d| from the square sums _reduce has already formed
     solvable = _within(residual, tol, math.sqrt(sa) * x0.norm() * math.sqrt(sb) + math.sqrt(sd))
     kinds = kind_a, kind_b  # with no singular operand, dim is 0 or 8
     hom = _hom_basis(left, right) if _SINGULAR in kinds else list(_ALL) if _ZERO in kinds else []

@@ -1,5 +1,6 @@
 """Shared generators and hypothesis strategies for the test suite."""
 
+import math
 import sys
 
 import hypothesis.strategies as st
@@ -20,6 +21,27 @@ def random_nonzero_mixed(rng):
         a = random_singular(rng) if rng.randrange(2) else random_multivector(rng)
         if not a.is_zero():
             return a
+
+
+def square_sum(c):
+    # left to right: from Python 3.12 on, sum() adds floats with compensation
+    s = 0.0
+    for x in c:
+        s += x * x
+    return s
+
+
+def ref_reduced(a):
+    """(r, e, square sum of r) with a = r * 2^e, as the library reduces an
+    element, written out apart from it: r is ``a`` itself while the square
+    sum lies in [2^-400, 2^400] or ``a`` is zero, else its largest
+    |coefficient| is in [1/2, 1)."""
+    s = square_sum(a.coeffs)
+    if 2.0 ** -400 <= s <= 2.0 ** 400 or a.is_zero():
+        return a, 0, s
+    e = math.frexp(max(map(abs, a.coeffs)))[1]
+    r = Multivector(math.ldexp(x, -e) for x in a.coeffs)
+    return r, e, square_sum(r.coeffs)
 
 
 def count_calls(monkeypatch, name):

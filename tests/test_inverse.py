@@ -20,7 +20,8 @@ from cl12 import (
     mp_inverse,
 )
 from cl12.multivector import _ldexp, _scaled, _within
-from support import count_calls, random_invertible, random_nonzero_mixed, random_singular
+from support import (count_calls, random_invertible, random_nonzero_mixed, random_singular,
+                     ref_reduced, square_sum)
 
 
 def test_inverse_examples():
@@ -66,32 +67,11 @@ def test_mp_inverse_cases():
     assert inv.condition == pytest.approx(1.0)  # P = 9, norm^4 = 9
 
 
-def _square_sum(c):
-    # left to right: from Python 3.12 on, sum() adds floats with compensation
-    s = 0.0
-    for x in c:
-        s += x * x
-    return s
-
-
-def _ref_reduced(a):
-    # (r, e, square sum of r) with a = r * 2^e, as the library first
-    # reduced an element: r is a itself while the square sum lies in
-    # [2^-400, 2^400] or a is zero, else its largest |coefficient| is in
-    # [1/2, 1)
-    s = _square_sum(a.coeffs)
-    if 2.0 ** -400 <= s <= 2.0 ** 400 or a.is_zero():
-        return a, 0, s
-    e = math.frexp(max(map(abs, a.coeffs)))[1]
-    r = _scaled_reference(a, -e)
-    return r, e, _square_sum(r.coeffs)
-
-
 def _functionals_reference(a):
     # N, T, P, T1, T3, T5, K written out on indexed coefficients: the
     # operations, in their order, that the tuple kernels must round like,
     # on the reduced element and scaled back (P has degree 4, the rest 2)
-    r, e, _ = _ref_reduced(a)
+    r, e, _ = ref_reduced(a)
     c = r.coeffs
     n = (
         c[0] * c[0] - c[1] * c[1] + c[2] * c[2] - c[3] * c[3]
@@ -115,7 +95,7 @@ def _central_inverse(a, n, t, p):
 def _mp_inverse_reference(a, tol=1e-9):
     # mp_inverse through Multivector objects: the kind, the pinv and the
     # condition taken on the reduced element, the pinv scaled back
-    r, e, s = _ref_reduced(a)
+    r, e, s = ref_reduced(a)
     if r.is_zero():
         return MPResult(pinv=Multivector.zero(), kind=MPKind.ZERO, condition=0.0)
     n, t, p, _, _, _, k = _functionals_reference(r)
@@ -146,12 +126,12 @@ def test_mp_inverse_bit_identical_to_reference():
 
 
 def _is_singular_reference(a, tol):
-    r, _, s = _ref_reduced(a)
+    r, _, s = ref_reduced(a)
     return _within(_functionals_reference(r)[2], tol, s * s)
 
 
 def _inverse_reference(a, tol):
-    r, e, s = _ref_reduced(a)
+    r, e, s = ref_reduced(a)
     n, t, p = _functionals_reference(r)[:3]
     if _within(p, tol, s * s):
         raise SingularElement("singular")
@@ -159,7 +139,7 @@ def _inverse_reference(a, tol):
 
 
 def _eigenvalues_reference(a):
-    r, e, _ = _ref_reduced(a)
+    r, e, _ = ref_reduced(a)
     c = r.coeffs
     n, t = _functionals_reference(r)[:2]
     alpha = complex(c[0], c[7])
@@ -270,7 +250,7 @@ def test_closed_forms_at_the_window_edges():
     cases = [Multivector(c) for c in _EDGE_CASES] + [_edge_draw(rng) for _ in range(300)]
     inside = set()
     for a in cases:
-        inside.add(2.0 ** -400 <= _square_sum(a.coeffs) <= 2.0 ** 400)
+        inside.add(2.0 ** -400 <= square_sum(a.coeffs) <= 2.0 ** 400)
         assert repr(tuple(a.functionals())) == repr(_functionals_reference(a))
         for tol in (1e-9, 0.0, 1e-3):
             assert a.is_singular(tol) is _is_singular_reference(a, tol)
@@ -284,9 +264,9 @@ def test_closed_forms_at_the_window_edges():
 
 
 def test_mp_inverse_evaluates_functionals_once(monkeypatch):
-    # each closed form makes one pass over the coefficients, in _forms,
-    # which takes the square sum and N, T and P together
-    calls = count_calls(monkeypatch, "_forms")
+    # each closed form makes one pass over the coefficients, in _reduce,
+    # which takes the square sum, before it takes N, T and P on the result
+    calls = count_calls(monkeypatch, "_reduce")
     for f, a in ((mp_inverse, e0 + e2 + e4), (mp_inverse, e1 + e2), (mp_inverse, 3.0 * e4),
                  (mp_inverse, Multivector.zero()), (inverse, e0 + e2 + e4),
                  (Multivector.is_singular, e1 + e2), (eigenvalues, e0 + e2 + e4),

@@ -24,11 +24,13 @@ from cl12 import (
     left_matrix,
     right_matrix,
     inverse,
+    solve_axb,
 )
 from cl12 import oracle
-from cl12.multivector import _S_HIGH, _S_LOW, _from_m2, _is_singular, _ntp, _reduced, _scaled, _to_m2
+from cl12.multivector import _S_HIGH, _S_LOW, _from_m2, _is_singular, _ntp, _scaled, _to_m2
 from cl12.similarity import _ROOT2, _cyclic
-from support import count_calls, random_invertible, random_multivector, random_singular
+from support import (count_calls, random_invertible, random_multivector, random_singular,
+                     ref_reduced)
 
 
 def test_conjugate_by_examples():
@@ -247,7 +249,7 @@ def _ref_is_similar(a, b, tol=1e-9):
     a_norm, b_norm = a.norm(), b.norm()
     scale, e = max(a_norm, b_norm), 0
     if not _S_LOW <= scale * scale <= _S_HIGH:
-        _, e, _ = _reduced(a if a_norm >= b_norm else b)
+        _, e, _ = ref_reduced(a if a_norm >= b_norm else b)
         if e:
             a, b = _scaled(a, -e), _scaled(b, -e)
             a_norm, b_norm = a.norm(), b.norm()
@@ -345,3 +347,17 @@ def test_only_a_pair_outside_the_window_is_rescaled(monkeypatch):
         calls.clear()
         r = is_similar(_scaled(e2, k), _scaled(e6, k))
         assert r.witness == _scaled(-e3 - e7, k) and len(calls) == rescaled
+
+
+def test_only_the_forms_that_are_read_are_taken(monkeypatch):
+    # N, T and P are taken of a and b in solve_axb, not of d, and only of
+    # q, inside inverse(q), in conjugate_by and conjugation_matrix; the
+    # reductions of the other operands take no forms, in the window or out
+    calls = count_calls(monkeypatch, "_ntp")
+    for k in (0, 600, -600):
+        a, b, d = _scaled(e0 + e2 + e4, k), _scaled(e1 + e2, k), _scaled(e3 - e5, k)
+        for f, args, taken in ((solve_axb, (a, b, d), 2), (conjugate_by, (a, d), 1),
+                               (conjugation_matrix, (a,), 1)):
+            calls.clear()
+            f(*args)
+            assert len(calls) == taken, (f.__name__, k)

@@ -24,13 +24,14 @@ from cl12 import (
 )
 from cl12 import MPKind, mp_inverse, oracle
 from cl12.cli import main
-from cl12.multivector import _reduced, _to_m2
+from cl12.multivector import _to_m2
 from support import (
     count_calls,
     random_invertible,
     random_multivector,
     random_nonzero_mixed,
     random_singular,
+    ref_reduced,
 )
 
 
@@ -167,7 +168,7 @@ def _ref_pairs(kind, z, y):
 
 def _ref_hom_basis(a, b):
     # sqrt(2) v u^H and its product with 1j, both through _ref_from_m2
-    (a, _, _), (b, _, _) = _reduced(a), _reduced(b)
+    (a, _, _), (b, _, _) = ref_reduced(a), ref_reduced(b)
     ma, mb = _to_m2(a.coeffs), _to_m2(b.coeffs)
     hom = []
     for lam, (v0, v1) in _ref_pairs(mp_inverse(a).kind, *ma):

@@ -23,6 +23,13 @@ def test_draw_helper_is_randint_draw_for_draw():
         assert ours.getstate() == theirs.getstate()
 
 
+def test_solver_counts_are_the_same_on_every_python():
+    # at tol 0 the Gram row turns on the last bits of each entry, which the
+    # builtin sum rounds differently from Python 3.12 on
+    solver = next(r for r in verify.run_all(3, 0, 0.0) if r.name == "solver")
+    assert (solver.passed, solver.failed) == (5, 5)
+
+
 def test_run_all_is_the_same_with_randint_draws(monkeypatch):
     # at tol = 0 most float rows fail, so their messages are compared too
     runs = [(s, DEFAULT_TOL) for s in range(200)] + [(s, 0.0) for s in range(50)]
